@@ -11,8 +11,8 @@ revenue.
 """
 
 from .finite import (Certificate, CrossCheck, FiniteEquilibrium, KKTReport,
-                     QuasilinearEquilibrium, cross_check_solvers, equilibrium_to_dict,
-                     save_equilibrium, solve_sample_eg, solve_sample_qeg, verify_kkt)
+                     cross_check_solvers, equilibrium_to_dict, save_equilibrium,
+                     solve_sample_eg, solve_sample_qeg, verify_kkt)
 from .inference import (InferenceReport, build_report, ci_beta_u, ci_nsw, default_eta,
                         estimate_omega2, estimate_sigma2_nsw, hessian_numdiff,
                         report_table, report_to_dict, save_report)

@@ -8,6 +8,7 @@
 
 Config files are JSON with the ExperimentConfig fields; specs are JSON
 as written by save_spec.  FISHER_INFER_THREADS caps the worker pool.
+`solve` exits 1 when the duality gap does not certify the equilibrium.
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ def _cmd_solve(args) -> int:
         eq = solve_sample_eg(market, tol=args.tol, method=args.method)
     if args.out:
         save_equilibrium(eq, args.out)
-    print(f"certified equilibrium: duality gap {eq.certificate.duality_gap:.3e} "
-          f"({eq.certificate.method}, {eq.certificate.iterations} iterations)")
+    cert = eq.certificate
+    if not cert.certified:
+        print(f"solve not certified: duality gap {cert.duality_gap:.3e} > tol {args.tol:.1e} "
+              f"({cert.method}, {cert.iterations} iterations)")
+        return 1
+    print(f"certified equilibrium: duality gap {cert.duality_gap:.3e} "
+          f"({cert.method}, {cert.iterations} iterations)")
     print(report_table(build_report(market, eq, alpha=args.alpha)))
     return 0
 

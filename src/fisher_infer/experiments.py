@@ -33,7 +33,7 @@ from .markets import (Linear1DValuation, LongRunSpec, sample_items, spec_from_di
                       spec_to_dict)
 from .statkit import KSResult, RateFit, fit_rate, ks_normal_test, qq_points, summarize_reps
 
-MODES = ("convergence", "clt", "coverage", "revenue_qlin", "single_solve")
+MODES = ("convergence", "clt", "coverage", "revenue_qlin")
 
 
 @dataclass(frozen=True)

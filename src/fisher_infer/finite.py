@@ -20,7 +20,8 @@ solve, and the result is certified by the duality gap, which comes out
 at float precision when the detected pattern is correct.
 
 Quasilinear buyers keep a slack bid (money not spent on goods), which
-caps multipliers at 1; the same machinery applies with the cap folded in.
+caps multipliers at 1.  Every routine takes the cap as a parameter: 1 for
+quasilinear buyers and inf for linear ones, so one code path serves both.
 """
 
 from __future__ import annotations
@@ -59,48 +60,27 @@ class Certificate:
 
 @dataclass(frozen=True)
 class FiniteEquilibrium:
-    """Equilibrium of a sampled linear market.
+    """Equilibrium of a sampled market with linear or quasilinear buyers.
 
-    x holds the allocation as (item, buyer, fraction) triples; fractions
-    on one item sum to the item supply 1/t.  p holds per-item prices
-    max_i beta_i V[i, tau].
+    X is the dense n x t allocation; the fractions on one item sum to the
+    item supply 1/t.  p holds per-item prices max_i beta_i V[i, tau].
+    delta is the money each quasilinear buyer keeps, None for linear
+    buyers.  nsw is the log Nash welfare sum_i b_i log(u_i + delta_i) of
+    the money-metric utilities (u + delta; u alone for linear buyers).
     """
 
     beta: np.ndarray
     u: np.ndarray
     p: np.ndarray
-    x: list[tuple[int, int, float]]
+    X: np.ndarray
+    delta: np.ndarray | None
     nsw: float
     certificate: Certificate
 
-    def allocation_matrix(self, n: int, t: int) -> np.ndarray:
-        X = np.zeros((n, t))
-        for item, buyer, frac in self.x:
-            X[buyer, item] = frac
-        return X
-
-
-@dataclass(frozen=True)
-class QuasilinearEquilibrium:
-    """Equilibrium of a sampled quasilinear market.
-
-    delta is per-buyer leftover money; rev is mean price, the seller
-    revenue under unit total supply.
-    """
-
-    beta: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-    x: list[tuple[int, int, float]]
-    delta: np.ndarray
-    rev: float
-    certificate: Certificate
-
-    def allocation_matrix(self, n: int, t: int) -> np.ndarray:
-        X = np.zeros((n, t))
-        for item, buyer, frac in self.x:
-            X[buyer, item] = frac
-        return X
+    @property
+    def rev(self) -> float:
+        """Mean price: the seller revenue under unit total supply."""
+        return float(self.p.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +97,10 @@ def _primal_shifted(b, u):
     return (b * np.log(u)).sum() - (b * (np.log(b) - 1.0)).sum()
 
 
-def _gap_linear(V, b, u):
-    return _dual(V, b, b / u) - _primal_shifted(b, u)
-
-
-def _gap_qlin(V, b, beta, u, delta):
+def _gap(V, b, beta, u, delta):
+    """Duality gap; linear buyers (delta None) evaluate the dual at b/u."""
+    if delta is None:
+        return _dual(V, b, b / u) - _primal_shifted(b, u)
     primal = (b * np.log(u + delta)).sum() - delta.sum() - (b * (np.log(b) - 1.0)).sum()
     return _dual(V, b, beta) - primal
 
@@ -214,11 +193,11 @@ def _tie_forest(V, winmask, tied_items):
     return comp, off, True
 
 
-def _split_tied_supply(V, winmask, tied_items, targets, s, capped=None):
+def _split_tied_supply(V, winmask, tied_items, targets, s, capped):
     """Solve for tied-item fractions so each buyer hits its utility target.
 
     targets[i] is the utility buyer i still needs from tied items; rows
-    of capped buyers (quasilinear, slack absorbs the residual) are
+    of buyers at the cap (their slack absorbs the residual) are
     dropped.  Returns the fraction assignment or None if the linear
     system is inconsistent or leaves the per-item simplex.
     """
@@ -236,7 +215,7 @@ def _split_tied_supply(V, winmask, tied_items, targets, s, capped=None):
     for k, (i, tau, i0) in enumerate(cols):
         A[i, k] = V[i, tau]
         A[i0, k] = -V[i0, tau]
-    keep = np.ones(n, dtype=bool) if capped is None else ~capped
+    keep = ~capped
     sol, *_ = np.linalg.lstsq(A[keep], d[keep], rcond=None)
     if sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
         return None
@@ -257,7 +236,7 @@ def _split_tied_supply(V, winmask, tied_items, targets, s, capped=None):
     return frac
 
 
-def _attempt_pattern(V, b, beta, tie_rtol, tol, qlin=False):
+def _attempt_pattern(V, b, beta, tie_rtol, tol, cap):
     """Try to read off the exact equilibrium from the tie pattern at beta."""
     n, t = V.shape
     s = 1.0 / t
@@ -291,14 +270,11 @@ def _attempt_pattern(V, b, beta, tie_rtol, tol, qlin=False):
     if np.any(C <= 0):
         return None
 
-    if qlin:
-        # cap: beta_i = exp(off_i + y_c) <= 1 for all i in the component
-        ybar = np.full(ncomp, np.inf)
-        np.minimum.at(ybar, comp, -off)
-        y = np.minimum(np.log(Bc / C), ybar)
-        beta_new = np.minimum(np.exp(off + y[comp]), 1.0)
-    else:
-        beta_new = np.exp(off + np.log(Bc / C)[comp])
+    # cap: beta_i = exp(off_i + y_c) <= cap for all i in the component
+    ybar = np.full(ncomp, np.inf)
+    np.minimum.at(ybar, comp, np.log(cap) - off)
+    y = np.minimum(np.log(Bc / C), ybar)
+    beta_new = np.minimum(np.exp(off + y[comp]), cap)
 
     # the pattern must still hold at the refit multipliers
     bids2 = beta_new[:, None] * V
@@ -307,7 +283,7 @@ def _attempt_pattern(V, b, beta, tie_rtol, tol, qlin=False):
               < top2[strict_items] * (1.0 - 1e-12)):
         return None
 
-    capped = (beta_new >= 1.0 - 1e-12) if qlin else None
+    capped = beta_new >= cap - 1e-12
     targets = b / beta_new - wload
     if len(tied_items):
         frac = _split_tied_supply(V, winmask, tied_items, targets, s, capped)
@@ -322,28 +298,25 @@ def _attempt_pattern(V, b, beta, tie_rtol, tol, qlin=False):
         X[i, tau] = val
     u = (V * X).sum(axis=1)
 
-    if qlin:
-        delta = b - beta_new * u
-        if np.any(delta < -1e-10):
+    if np.isinf(cap):
+        if np.any(u <= 0):
             return None
-        if np.any(delta[~capped] > 1e-9):
+        delta = None
+    else:
+        # leftover money only where the cap binds
+        delta = b - beta_new * u
+        if np.any(delta < -1e-10) or np.any(delta[~capped] > 1e-9):
             return None
         delta = np.maximum(delta, 0.0)
-        gap = _gap_qlin(V, b, beta_new, u, delta)
-        if not gap <= tol:
-            return None
-        return beta_new, u, X, delta, float(gap)
-    if np.any(u <= 0):
-        return None
-    gap = _gap_linear(V, b, u)
+    gap = _gap(V, b, beta_new, u, delta)
     if not gap <= tol:
         return None
-    return beta_new, u, X, None, float(gap)
+    return beta_new, u, X, delta, float(gap)
 
 
-def _polish(V, b, beta, tol, qlin=False):
+def _polish(V, b, beta, tol, cap):
     for rtol in _candidate_rtols(V, beta):
-        res = _attempt_pattern(V, b, beta, rtol, tol, qlin=qlin)
+        res = _attempt_pattern(V, b, beta, rtol, tol, cap)
         if res is not None:
             return res
     return None
@@ -370,52 +343,40 @@ def _smoothed(V, b, beta, mu):
     return val, g, H, sig
 
 
-def _newton_tail(V, b, beta, tol, qlin=False, polish_from=1e-5):
+def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
     """Drive the smoothing temperature down, polishing once bids separate."""
     n = len(b)
-    upper = np.ones(n) if qlin else None
     mu = SMOOTH_MU_START
     while mu >= SMOOTH_MU_STOP:
         for _ in range(80):
             val, g, H, _ = _smoothed(V, b, beta, mu)
-            if qlin:
-                # cap at 1: freeze coordinates pressed against the cap
-                active = (beta >= 1.0 - 1e-12) & (g < 0)
-                free = ~active
-                d = np.zeros(n)
-                if free.any():
-                    try:
-                        d[free] = np.linalg.solve(H[np.ix_(free, free)], -g[free])
-                    except np.linalg.LinAlgError:
-                        d[free] = -g[free]
-                # at the cap only an inward-pointing gradient is a violation
-                resid = np.where(beta < 1.0 - 1e-12, np.abs(g), np.maximum(g, 0.0))
-            else:
+            # freeze coordinates pressed against the cap
+            at_cap = beta >= cap - 1e-12
+            free = ~(at_cap & (g < 0))
+            d = np.zeros(n)
+            if free.any():
                 try:
-                    d = np.linalg.solve(H, -g)
+                    d[free] = np.linalg.solve(H[np.ix_(free, free)], -g[free])
                 except np.linalg.LinAlgError:
-                    d = -g
-                resid = np.abs(g)
+                    d[free] = -g[free]
+            # at the cap only an inward-pointing gradient is a violation
+            resid = np.where(at_cap, np.maximum(g, 0.0), np.abs(g))
             if resid.max() < max(mu * 1e-3, 1e-13):
                 break
             step = 1.0
             while step > 1e-14:
-                cand = beta + step * d
-                if upper is not None:
-                    cand = np.minimum(cand, upper)
+                cand = np.minimum(beta + step * d, cap)
                 if np.all(cand > 0):
                     v2 = _smoothed(V, b, cand, mu)[0]
                     if v2 <= val + 1e-4 * (g @ (cand - beta)):
                         break
                 step *= 0.5
-            new = beta + step * d
-            if upper is not None:
-                new = np.minimum(new, upper)
+            new = np.minimum(beta + step * d, cap)
             if np.array_equal(new, beta):
                 break
             beta = new
         if mu <= polish_from:
-            res = _polish(V, b, beta, tol, qlin=qlin)
+            res = _polish(V, b, beta, tol, cap)
             if res is not None:
                 return res, beta
         mu *= 0.1
@@ -427,17 +388,17 @@ def _newton_tail(V, b, beta, tol, qlin=False, polish_from=1e-5):
 # ---------------------------------------------------------------------------
 
 
-def _run_pr(V, b, tol, max_iter, qlin=False, escalate=True):
-    """PR main loop with periodic exact polish and optional Newton escalation."""
+def _run_pr(V, b, tol, max_iter, cap):
+    """PR main loop with periodic exact polish and Newton escalation."""
     n, t = V.shape
     s = 1.0 / t
-    if qlin:
+    if np.isinf(cap):
+        B = np.full((n, t), 1.0) * (b / t)[:, None]
+        slack = np.zeros(n)  # linear buyers spend everything: no slack bid
+    else:
         # one extra virtual item holds the slack (unspent money) bid
         B = np.full((n, t), 1.0) * (b / (t + 1))[:, None]
         slack = b / (t + 1)
-    else:
-        B = np.full((n, t), 1.0) * (b / t)[:, None]
-        slack = None
     u = np.full(n, np.nan)
     escalated = False
     for k in range(1, max_iter + 1):
@@ -446,33 +407,21 @@ def _run_pr(V, b, tol, max_iter, qlin=False, escalate=True):
             X = np.where(m > 0, B / m, 0.0) * s
         w = V * X
         u = w.sum(axis=1)
-        if qlin:
-            mu_money = u + slack
-            B = b[:, None] * w / mu_money[:, None]
-            slack = b * slack / mu_money
-        else:
-            B = b[:, None] * w / u[:, None]
+        money = u + slack
+        B = b[:, None] * w / money[:, None]
+        slack = b * slack / money
         if k % POLISH_EVERY == 0:
-            beta = b / (u + slack) if qlin else b / u
-            if qlin:
-                beta = np.minimum(beta, 1.0)
-            res = _polish(V, b, beta, tol, qlin=qlin)
+            beta = np.minimum(b / (u + slack), cap)
+            res = _polish(V, b, beta, tol, cap)
             if res is not None:
                 return res, k, escalated
-            if escalate and k >= ESCALATE_AFTER:
+            if k >= ESCALATE_AFTER:
                 escalated = True
-                res, _ = _newton_tail(V, b, beta, tol, qlin=qlin)
+                res, _ = _newton_tail(V, b, beta, tol, cap)
                 if res is not None:
                     return res, k, escalated
-    # best effort without certification
-    beta = b / (u + slack) if qlin else b / u
-    if qlin:
-        beta = np.minimum(beta, 1.0)
-        delta = np.maximum(b - beta * u, 0.0)
-        gap = _gap_qlin(V, b, beta, u, delta)
-        return (beta, u, X, delta, float(gap)), max_iter, escalated
-    gap = _gap_linear(V, b, u)
-    return (beta, u, X, None, float(gap)), max_iter, escalated
+    beta = np.minimum(b / (u + slack), cap)
+    return _uncertified(V, b, beta, u, X, cap), max_iter, escalated
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +429,14 @@ def _run_pr(V, b, tol, max_iter, qlin=False, escalate=True):
 # ---------------------------------------------------------------------------
 
 
-def _run_subgradient(V, b, tol, qlin=False, iters=SUBGRADIENT_ITERS):
-    """Decaying-step projected subgradient, then the smoothed Newton tail."""
+def _subgradient_start(V, b, cap, iters=SUBGRADIENT_ITERS):
+    """Best point of a decaying-step projected subgradient run."""
     n, t = V.shape
     vbar = V.max(axis=1)
-    if np.any(vbar <= 0):
-        raise ValueError("every buyer needs a positive value somewhere")
-    if qlin:
-        lo, hi = b / (vbar + b), np.ones(n)
-    else:
+    if np.isinf(cap):
         lo, hi = b / vbar, np.full(n, b.sum() / vbar.min())
+    else:
+        lo, hi = b / (vbar + b), np.full(n, cap)
     beta = np.clip(b / V.mean(axis=1), lo, hi)
     best, best_val = beta.copy(), _dual(V, b, beta)
     D = float(np.linalg.norm(hi - lo)) or 1.0
@@ -506,8 +453,7 @@ def _run_subgradient(V, b, tol, qlin=False, iters=SUBGRADIENT_ITERS):
         val = _dual(V, b, beta)
         if val < best_val:
             best_val, best = val, beta.copy()
-    res, beta_out = _newton_tail(V, b, best, tol, qlin=qlin)
-    return res, beta_out, iters
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -515,34 +461,53 @@ def _run_subgradient(V, b, tol, qlin=False, iters=SUBGRADIENT_ITERS):
 # ---------------------------------------------------------------------------
 
 
-def _sparse_allocation(X):
-    out = []
-    for tau in range(X.shape[1]):
-        for i in np.flatnonzero(X[:, tau] > 0):
-            out.append((int(tau), int(i), float(X[i, tau])))
-    return out
+def _uncertified(V, b, beta, u, X, cap):
+    """(beta, u, X, delta, gap) of a point no route certified; the solve
+    returns it flagged with certificate.certified = False."""
+    delta = None if np.isinf(cap) else np.maximum(b - beta * u, 0.0)
+    money = u if delta is None else u + delta
+    gap = _gap(V, b, beta, u, delta) if np.all(money > 0) else float("inf")
+    return beta, u, X, delta, float(gap)
 
 
-def _check_market(market: FiniteMarket):
-    if np.any(market.V.max(axis=1) <= 0):
-        raise ValueError("every buyer needs a positive value on some item")
-
-
-def _best_effort(V, b, beta, qlin):
-    """Primal point built from beta when no route certified; used for the
-    flagged non-certified return."""
+def _best_effort(V, b, beta, cap):
+    """Primal point built from beta by splitting near-tied items evenly."""
     t = V.shape[1]
     bids = beta[:, None] * V
     top = bids.max(axis=0)
     near = bids >= top[None, :] * (1.0 - 1e-9)
     X = near / near.sum(axis=0)[None, :] / t
-    u = (V * X).sum(axis=1)
-    if qlin:
-        delta = np.maximum(b - beta * u, 0.0)
-        gap = _gap_qlin(V, b, beta, u, delta) if np.all(u + delta > 0) else float("inf")
-        return beta, u, X, delta, float(gap)
-    gap = _gap_linear(V, b, u) if np.all(u > 0) else float("inf")
-    return beta, u, X, None, float(gap)
+    return _uncertified(V, b, beta, (V * X).sum(axis=1), X, cap)
+
+
+def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
+           cap: float) -> FiniteEquilibrium:
+    """The one solve body; cap is 1 for quasilinear buyers, inf for linear."""
+    V, b = market.V, market.budgets
+    if np.any(V.max(axis=1) <= 0):
+        raise ValueError("every buyer needs a positive value on some item")
+    escalated = False
+    if method == "pr":
+        res, iters, escalated = _run_pr(V, b, tol, max_iter, cap)
+    else:
+        if method == "subgradient":
+            beta0, iters = _subgradient_start(V, b, cap), SUBGRADIENT_ITERS
+        elif method == "newton":
+            beta0, iters = np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap), 0
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        res, beta_out = _newton_tail(V, b, beta0, tol, cap)
+        if res is None:
+            res = _best_effort(V, b, beta_out, cap)
+    beta, u, X, delta, gap = res
+    p = (beta[:, None] * V).max(axis=0)
+    money = u if delta is None else u + delta
+    with np.errstate(divide="ignore"):
+        nsw = float((b * np.log(money)).sum()) if np.all(money > 0) else float("-inf")
+    cert = Certificate(duality_gap=gap, certified=bool(gap <= tol), method=method,
+                       iterations=iters, escalated=escalated)
+    return FiniteEquilibrium(beta=beta, u=u, p=p, X=X, delta=delta, nsw=nsw,
+                             certificate=cert)
 
 
 def solve_sample_eg(
@@ -567,37 +532,12 @@ def solve_sample_eg(
     Returns
     -------
     FiniteEquilibrium with multipliers beta, utilities u = b/beta, prices
-    p[tau] = max_i beta_i V[i, tau], sparse allocation, log Nash welfare,
-    and a duality-gap certificate.  If no route certifies the gap below
-    tol within the iteration budget, the best iterate is returned with
-    certificate.certified = False.
+    p[tau] = max_i beta_i V[i, tau], the allocation X, log Nash welfare,
+    delta = None and a duality-gap certificate.  If no route certifies
+    the gap below tol within the iteration budget, the best iterate is
+    returned with certificate.certified = False.
     """
-    _check_market(market)
-    V, b = market.V, market.budgets
-    escalated = False
-    if method == "pr":
-        res, iters, escalated = _run_pr(V, b, tol, max_iter)
-    elif method == "subgradient":
-        res, beta_out, iters = _run_subgradient(V, b, tol)
-        if res is None:
-            res = _best_effort(V, b, beta_out, qlin=False)
-    elif method == "newton":
-        beta0 = b / V.mean(axis=1).clip(min=1e-300)
-        res, beta_out = _newton_tail(V, b, beta0, tol)
-        iters = 0
-        if res is None:
-            res = _best_effort(V, b, beta_out, qlin=False)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    beta, u, X, _, gap = res
-    certified = bool(gap <= tol)
-    p = (beta[:, None] * V).max(axis=0)
-    with np.errstate(divide="ignore"):
-        nsw = float((b * np.log(u)).sum()) if np.all(u > 0) else float("-inf")
-    cert = Certificate(duality_gap=gap, certified=certified, method=method,
-                       iterations=iters, escalated=escalated)
-    return FiniteEquilibrium(beta=beta, u=u, p=p, x=_sparse_allocation(X),
-                             nsw=nsw, certificate=cert)
+    return _solve(market, tol, max_iter, method, cap=np.inf)
 
 
 def solve_sample_qeg(
@@ -605,39 +545,15 @@ def solve_sample_qeg(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     method: str = "pr",
-) -> QuasilinearEquilibrium:
+) -> FiniteEquilibrium:
     """Compute the equilibrium of a sampled quasilinear market.
 
     Buyers may withhold money: multipliers live in (0, 1], leftover
     delta_i = b_i - beta_i u_i satisfies delta_i (1 - beta_i) = 0, and
-    seller revenue is the mean price.  Non-certified solves return the
-    best iterate with certificate.certified = False, as in solve_sample_eg.
+    seller revenue is the mean price eq.rev.  Parameters and
+    non-certified returns are as in solve_sample_eg.
     """
-    _check_market(market)
-    V, b = market.V, market.budgets
-    escalated = False
-    if method == "pr":
-        res, iters, escalated = _run_pr(V, b, tol, max_iter, qlin=True)
-    elif method == "subgradient":
-        res, beta_out, iters = _run_subgradient(V, b, tol, qlin=True)
-        if res is None:
-            res = _best_effort(V, b, beta_out, qlin=True)
-    elif method == "newton":
-        beta0 = np.minimum(b / V.mean(axis=1).clip(min=1e-300), 1.0)
-        res, beta_out = _newton_tail(V, b, beta0, tol, qlin=True)
-        iters = 0
-        if res is None:
-            res = _best_effort(V, b, beta_out, qlin=True)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    beta, u, X, delta, gap = res
-    certified = bool(gap <= tol)
-    p = (beta[:, None] * V).max(axis=0)
-    cert = Certificate(duality_gap=gap, certified=certified, method=method,
-                       iterations=iters, escalated=escalated)
-    return QuasilinearEquilibrium(beta=beta, u=u, p=p,
-                                  x=_sparse_allocation(X),
-                                  delta=delta, rev=float(p.mean()), certificate=cert)
+    return _solve(market, tol, max_iter, method, cap=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +572,7 @@ class KKTReport:
     feasibility:   largest oversubscription of an item or negative fraction
     budget:        |sum_tau p_tau / t - sum_i b_i|, full budget extraction
     duality_gap:   dual value minus shifted primal value
-    comp_slack:    quasilinear only, max_i |delta_i (1 - beta_i)|
+    comp_slack:    max_i |delta_i (1 - beta_i)|, 0 for linear buyers
     """
 
     clearance: float
@@ -670,28 +586,20 @@ class KKTReport:
     tol: float
 
 
-def verify_kkt(market: FiniteMarket, eq, tol: float = 1e-7) -> KKTReport:
+def verify_kkt(market: FiniteMarket, eq: FiniteEquilibrium, tol: float = 1e-7) -> KKTReport:
     V, b = market.V, market.budgets
-    n, t = market.n, market.t
-    s = 1.0 / t
-    beta, u, p = eq.beta, eq.u, eq.p
-    X = eq.allocation_matrix(n, t)
-    qlin = isinstance(eq, QuasilinearEquilibrium)
+    s = 1.0 / market.t
+    beta, u, p, X = eq.beta, eq.u, eq.p, eq.X
+    delta = np.zeros_like(u) if eq.delta is None else eq.delta
 
     taken = X.sum(axis=0)
     clearance = float(abs((p * (s - taken)).sum()))
     winner = float(max(((p[None, :] - beta[:, None] * V) * X).sum(axis=1).max(), 0.0))
     feasibility = float(max((taken - s).max(), (-X).max(), 0.0))
-    if qlin:
-        utility = float(np.abs(u + eq.delta - b / beta).max())
-        budget = float(abs(p.mean() + eq.delta.sum() - b.sum()))
-        comp_slack = float(np.abs(eq.delta * (1.0 - beta)).max())
-        gap = float(_gap_qlin(V, b, beta, u, eq.delta))
-    else:
-        utility = float(np.abs(u - b / beta).max())
-        budget = float(abs(p.mean() - b.sum()))
-        comp_slack = 0.0
-        gap = float(_gap_linear(V, b, u))
+    utility = float(np.abs(u + delta - b / beta).max())
+    budget = float(abs(p.mean() + delta.sum() - b.sum()))
+    comp_slack = float(np.abs(delta * (1.0 - beta)).max())
+    gap = float(_gap(V, b, beta, u, eq.delta))
     passed = all(r <= tol for r in
                  (clearance, winner, utility, feasibility, budget, comp_slack)) and gap <= tol
     return KKTReport(clearance=clearance, winner=winner, utility=utility,
@@ -733,12 +641,16 @@ def cross_check_solvers(market: FiniteMarket, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def equilibrium_to_dict(eq) -> dict:
+def equilibrium_to_dict(eq: FiniteEquilibrium) -> dict:
+    """JSON-ready dict; the allocation is written as [item, buyer, fraction]
+    triples of its positive entries in item-major order."""
+    items, buyers = np.nonzero(eq.X.T > 0)
     out = {
         "beta": eq.beta.tolist(),
         "u": eq.u.tolist(),
         "p": eq.p.tolist(),
-        "x": [[item, buyer, frac] for item, buyer, frac in eq.x],
+        "x": [list(triple) for triple in zip(items.tolist(), buyers.tolist(),
+                                             eq.X[buyers, items].tolist())],
         "certificate": {
             "duality_gap": eq.certificate.duality_gap,
             "certified": eq.certificate.certified,
@@ -747,15 +659,15 @@ def equilibrium_to_dict(eq) -> dict:
             "escalated": eq.certificate.escalated,
         },
     }
-    if isinstance(eq, QuasilinearEquilibrium):
+    if eq.delta is None:
+        out["nsw"] = eq.nsw
+    else:
         out["delta"] = eq.delta.tolist()
         out["rev"] = eq.rev
-    else:
-        out["nsw"] = eq.nsw
     return out
 
 
-def save_equilibrium(eq, path: str) -> None:
+def save_equilibrium(eq: FiniteEquilibrium, path: str) -> None:
     import json
 
     with open(path, "w") as fh:
@@ -768,7 +680,6 @@ __all__ = [
     "DEFAULT_MAX_ITER",
     "Certificate",
     "FiniteEquilibrium",
-    "QuasilinearEquilibrium",
     "solve_sample_eg",
     "solve_sample_qeg",
     "KKTReport",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite import FiniteEquilibrium, QuasilinearEquilibrium
-from .longrun import sigma_beta_u
+from .finite import FiniteEquilibrium
+from .longrun import _require_below_cap, sigma_beta_u
 from .markets import FiniteMarket, dual_value_sample
 from .statkit import normal_quantile
 
@@ -53,7 +53,7 @@ def ci_nsw(nsw_hat: float, sigma2_hat: float, t: int, alpha: float) -> tuple[flo
     return float(nsw_hat - half), float(nsw_hat + half)
 
 
-def estimate_omega2(market: FiniteMarket, eq) -> tuple[np.ndarray, bool]:
+def estimate_omega2(market: FiniteMarket, eq: FiniteEquilibrium) -> tuple[np.ndarray, bool]:
     """Per-buyer variance of winning values, from per-item utilities.
 
     Omega_hat_i^2 = (1/t) sum_tau (t u_i^tau - u_i)^2 where u_i^tau is
@@ -62,14 +62,10 @@ def estimate_omega2(market: FiniteMarket, eq) -> tuple[np.ndarray, bool]:
     allocation, so ties are flagged rather than hidden (they are
     measure-zero in the long run but do occur in finite samples).
     """
-    n, t = market.n, market.t
-    U = np.zeros((n, t))
-    split = np.zeros(t, dtype=int)
-    for item, buyer, frac in eq.x:
-        # frac is measure (full item = 1/t), so frac*V is u_i^tau directly
-        U[buyer, item] = frac * market.V[buyer, item]
-        split[item] += 1
-    tied = bool(np.any(split > 1))
+    t = market.t
+    # X is measure (full item = 1/t), so X*V is u_i^tau directly
+    U = eq.X * market.V
+    tied = bool(np.any((eq.X > 0).sum(axis=0) > 1))
     utotal = U.sum(axis=1)
     omega2_hat = ((t * U - utotal[:, None]) ** 2).mean(axis=1)
     return omega2_hat, tied
@@ -175,26 +171,25 @@ class InferenceReport:
     rev_hat: float | None = None
 
 
-def build_report(market: FiniteMarket, eq, alpha: float = 0.05,
+def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.05,
                  use_hessian: bool = False, eta: float | None = None) -> InferenceReport:
     """Assemble the full report for a solved market.
 
     use_hessian=True estimates the dual Hessian by numerical
     differences and runs the sandwich intervals; the default uses the
-    diagonal plug-in.  For quasilinear markets the report centers on
-    revenue: nsw_hat is computed from money-metric utilities u + delta
-    and its interval is degenerate (the price-variance estimator needs
-    unit total budget, which quasilinear markets do not satisfy).
+    diagonal plug-in.  The sandwich needs every quasilinear buyer below
+    the cap and raises ValueError naming the buyers at it.  For
+    quasilinear markets the report centers on revenue: nsw_hat is the
+    welfare of the money-metric utilities u + delta (eq.nsw) and its
+    interval is degenerate (the price-variance estimator needs unit
+    total budget, which quasilinear markets do not satisfy).
     """
-    qlin = isinstance(eq, QuasilinearEquilibrium)
-    if qlin:
-        mu_money = eq.u + eq.delta
-        nsw_hat = float((market.budgets * np.log(mu_money)).sum())
-    else:
-        nsw_hat = eq.nsw
+    qlin = eq.delta is not None
+    nsw_hat = eq.nsw
     omega2_hat, tied = estimate_omega2(market, eq)
     hessian_hat = None
     if use_hessian:
+        _require_below_cap(eq.beta, eq.delta)
         hessian_hat = hessian_numdiff(market, eq.beta, eta)
     beta_ci, u_ci = ci_beta_u(eq.beta, omega2_hat, hessian_hat,
                               market.budgets, market.t, alpha)

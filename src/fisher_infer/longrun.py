@@ -439,7 +439,9 @@ def sigma_beta_u(hessian: np.ndarray, omega2_vec: np.ndarray, beta_star: np.ndar
     Win regions are disjoint, so E[g_i g_j] = 0 for i != j and the
     covariance is minus the product of the means.  The means are taken
     as u = b/beta, which is the mean winning value E[g_i] for linear
-    buyers and for quasilinear buyers below the cap (beta_i < 1).
+    buyers and for quasilinear buyers below the cap (beta_i < 1); callers
+    with quasilinear buyers check the cap first (asymptotic_pack,
+    inference.build_report).
     """
     b = np.asarray(budgets, dtype=float)
     beta = np.asarray(beta_star, dtype=float)
@@ -464,7 +466,25 @@ class AsymptoticPack:
     sigma_u: np.ndarray
 
 
+def _require_below_cap(beta, delta) -> None:
+    """Raise if a quasilinear buyer (delta not None) sits at the cap of 1.
+
+    At the cap the mean winning value is b_i - delta_i, not b_i/beta_i,
+    and the multiplier's limit law is a constrained one, so the sandwich
+    of sigma_beta_u does not describe it.
+    """
+    if delta is None:
+        return
+    at_cap = np.flatnonzero(np.asarray(beta) >= 1.0 - 1e-12)
+    if at_cap.size:
+        raise ValueError(f"quasilinear buyers {at_cap.tolist()} are at the cap beta = 1, "
+                         "where the sandwich covariance does not apply")
+
+
 def asymptotic_pack(eq: LongRunEquilibrium) -> AsymptoticPack:
+    """Long-run variances and covariances; quasilinear buyers at the cap
+    raise ValueError (see _require_below_cap)."""
+    _require_below_cap(eq.beta_star, eq.delta)
     om = np.array([omega2(eq, i) for i in range(eq.spec.n)])
     H = hessian_longrun_linear(eq.spec, eq.beta_star)
     sb, su = sigma_beta_u(H, om, eq.beta_star, eq.spec.budgets)

@@ -21,9 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Width below which an envelope segment or a bid margin is treated as zero.
-FLOAT_SLACK = 1e-12
-
 # Sentinel used for the bid gap when there is no rival buyer (n == 1):
 # largest finite float, paired with the no_rival flag on GapWinner.
 GAP_SENTINEL = float(np.finfo(np.float64).max)
@@ -455,7 +452,6 @@ def market_from_csv(path: str, budgets: np.ndarray, seed: int | None = None) -> 
 
 
 __all__ = [
-    "FLOAT_SLACK",
     "GAP_SENTINEL",
     "Linear1DValuation",
     "LinearMDValuation",

@@ -270,9 +270,7 @@ def test_criterion_08_variance_estimators():
 
     om_hat, tied = estimate_omega2(market, eq)
     assert not tied
-    W = np.zeros((2, market.t))
-    for item, buyer, frac in eq.x:
-        W[buyer, item] = frac * market.V[buyer, item] * market.t
+    W = eq.X * market.V * market.t
     om_ok = True
     om_devs = []
     for i in range(2):

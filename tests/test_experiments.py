@@ -352,6 +352,28 @@ def test_cli_solve(cli_files, capsys):
     assert set(data) >= {"beta", "u", "p", "x", "certificate"}
 
 
+def test_cli_solve_uncertified_exits_nonzero(cli_files, capsys, monkeypatch):
+    import dataclasses
+
+    import fisher_infer.cli as cli
+
+    solve = cli.solve_sample_eg
+
+    def uncertified(market, **kwargs):
+        eq = solve(market, **kwargs)
+        cert = dataclasses.replace(eq.certificate, duality_gap=1e-3, certified=False)
+        return dataclasses.replace(eq, certificate=cert)
+
+    monkeypatch.setattr(cli, "solve_sample_eg", uncertified)
+    _, spec_path, _ = cli_files
+    rc = cli_main(["solve", "--spec", str(spec_path), "--t", "100", "--seed", "7"])
+    assert rc != 0
+    printed = capsys.readouterr().out
+    assert "certified equilibrium" not in printed
+    assert "not certified" in printed
+    assert "1.000e-03" in printed and "1.0e-09" in printed
+
+
 def test_cli_solve_quasilinear(cli_files, capsys):
     _, spec_path, _ = cli_files
     rc = cli_main(["solve", "--spec", str(spec_path), "--t", "80",

@@ -41,8 +41,7 @@ def test_symmetric_two_by_two():
     assert np.allclose(eq.p, [1.0, 1.0], atol=1e-9)
     assert eq.nsw == pytest.approx(math.log(1.5), abs=1e-9)
     # each buyer takes its favorite item fully (supply 1/2)
-    X = eq.allocation_matrix(2, 2)
-    assert np.allclose(X, [[0.5, 0.0], [0.0, 0.5]], atol=1e-9)
+    assert np.allclose(eq.X, [[0.5, 0.0], [0.0, 0.5]], atol=1e-9)
 
 
 def test_tie_split_single_item():
@@ -51,8 +50,7 @@ def test_tie_split_single_item():
     assert np.allclose(eq.beta, [0.5, 1.0], atol=1e-8)
     assert np.allclose(eq.u, [1.0, 0.5], atol=1e-8)
     assert np.allclose(eq.p, [1.0], atol=1e-9)
-    X = eq.allocation_matrix(2, 1)
-    assert np.allclose(X[:, 0], [0.5, 0.5], atol=1e-8)
+    assert np.allclose(eq.X[:, 0], [0.5, 0.5], atol=1e-8)
 
 
 def test_single_buyer_closed_form():
@@ -78,6 +76,13 @@ def test_qlin_single_buyer_interior():
     assert eq.beta[0] == pytest.approx(0.5, abs=1e-9)
     assert eq.rev == pytest.approx(0.5, abs=1e-9)
     assert eq.delta[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_money_metric_welfare_and_delta():
+    m = FiniteMarket(V=np.ones((1, 3)), budgets=np.array([2.0]))
+    qlin = solve_sample_qeg(m)
+    assert qlin.nsw == float((m.budgets * np.log(qlin.u + qlin.delta)).sum())
+    assert solve_sample_eg(m).delta is None
 
 
 def test_qlin_two_buyer_matches_grid_search():
@@ -137,9 +142,9 @@ def test_kkt_flags_perturbed_beta():
 def test_kkt_flags_overallocated_item():
     m = _symmetric_market()
     eq = solve_sample_eg(m)
-    doubled = [(item, buyer, 2.0 * frac) if item == 0 else (item, buyer, frac)
-               for item, buyer, frac in eq.x]
-    bad = dataclasses.replace(eq, x=doubled)
+    doubled = eq.X.copy()
+    doubled[:, 0] *= 2.0
+    bad = dataclasses.replace(eq, X=doubled)
     report = verify_kkt(m, bad, tol=1e-8)
     assert not report.passed
     assert report.feasibility == pytest.approx(1.0 / m.t, abs=1e-12)
@@ -209,9 +214,7 @@ def test_budget_scale_equivariance(seed):
     scaled = FiniteMarket(V=m.V, budgets=m.budgets * delta)
     eq = solve_sample_eg(m)
     eq2 = solve_sample_eg(scaled)
-    X = eq.allocation_matrix(m.n, m.t)
-    X2 = eq2.allocation_matrix(m.n, m.t)
-    assert np.abs(X - X2).max() < 1e-7
+    assert np.abs(eq.X - eq2.X).max() < 1e-7
     assert np.abs(eq2.p - delta * eq.p).max() < 1e-7 * delta
 
 
@@ -323,3 +326,10 @@ def test_equilibrium_json_round_trip(tmp_path):
         data = json.load(fh)
     assert data["rev"] == eq.rev
     assert np.allclose(data["delta"], eq.delta)
+    # the triples list the positive entries of X exactly, item-major
+    triples = [tuple(triple) for triple in data["x"]]
+    assert triples == sorted(triples)
+    X = np.zeros_like(eq.X)
+    for item, buyer, frac in triples:
+        X[buyer, item] = frac
+    assert np.array_equal(X, eq.X)

@@ -45,8 +45,8 @@ def _psi_only_market():
 class _EqStub:
     """Bare allocation carrier for estimate_omega2 unit cases."""
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, X):
+        self.X = np.array(X, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_ci_nsw_validation():
 
 def test_omega2_single_buyer_constant_values():
     market = FiniteMarket(V=np.array([[1.0, 1.0]]), budgets=np.array([1.0]))
-    om, tied = estimate_omega2(market, _EqStub([(0, 0, 0.5), (1, 0, 0.5)]))
+    om, tied = estimate_omega2(market, _EqStub([[0.5, 0.5]]))
     assert om == pytest.approx([0.0], abs=1e-15)
     assert not tied
 
@@ -160,7 +160,7 @@ def test_omega2_single_buyer_constant_values():
 def test_omega2_two_point_values():
     # full allocation at t=2 means fraction 1/t = 0.5 per item
     market = FiniteMarket(V=np.array([[3.0, 1.0]]), budgets=np.array([1.0]))
-    om, tied = estimate_omega2(market, _EqStub([(0, 0, 0.5), (1, 0, 0.5)]))
+    om, tied = estimate_omega2(market, _EqStub([[0.5, 0.5]]))
     assert om == pytest.approx([1.0], abs=1e-15)
     assert not tied
 
@@ -171,9 +171,7 @@ def test_omega2_symmetric_market_matches_population(symmetric_spec):
     om, tied = estimate_omega2(market, eq)
     assert not tied
     # winning-value series for the stderr of each variance estimate
-    W = np.zeros((2, market.t))
-    for item, buyer, frac in eq.x:
-        W[buyer, item] = frac * market.V[buyer, item] * market.t
+    W = eq.X * market.V * market.t
     for i in range(2):
         sq = (W[i] - W[i].mean()) ** 2
         stderr = float(sq.std()) / np.sqrt(market.t)
@@ -200,9 +198,7 @@ def test_omega2_nonnegative_and_utility_consistent(n, t, seed):
     om, _ = estimate_omega2(market, eq)
     assert np.all(om >= 0.0)
     # the per-item utilities must re-aggregate to the equilibrium utilities
-    U = np.zeros((n, t))
-    for item, buyer, frac in eq.x:
-        U[buyer, item] = frac * market.V[buyer, item]
+    U = eq.X * market.V
     assert U.sum(axis=1) == pytest.approx(eq.u, abs=1e-7)
 
 
@@ -385,6 +381,23 @@ def test_build_report_quasilinear(symmetric_spec):
     mu = eq.u + eq.delta
     assert rep.nsw_hat == pytest.approx(float((market.budgets * np.log(mu)).sum()),
                                         abs=1e-12)
+
+
+def test_build_report_hessian_rejects_quasilinear_cap():
+    # b = 2 pins the single buyer at beta = 1, where u = 1 != b / beta
+    market = FiniteMarket(V=np.ones((1, 3)), budgets=np.array([2.0]))
+    eq = solve_sample_qeg(market)
+    with pytest.raises(ValueError, match=r"buyers \[0\]"):
+        build_report(market, eq, use_hessian=True)
+
+
+def test_build_report_hessian_quasilinear_interior(symmetric_spec):
+    market = sample_items(symmetric_spec, t=500, seed=3)
+    eq = solve_sample_qeg(market)
+    assert np.all(eq.beta < 0.9)
+    rep = build_report(market, eq, use_hessian=True)
+    assert np.all(np.isfinite(rep.beta_ci)) and np.all(np.isfinite(rep.u_ci))
+    assert np.all(rep.beta_ci[:, 0] < rep.beta_ci[:, 1])
 
 
 def test_build_report_flags_ties():

@@ -431,6 +431,21 @@ def test_asymptotic_pack_invariants(five_buyer_spec):
     assert np.all(np.linalg.eigvalsh(pack.sigma_u) >= -1e-12)
 
 
+def test_asymptotic_pack_rejects_quasilinear_buyers_at_cap():
+    # b = 2 pins the single buyer at beta = 1, where u* = 1 != b / beta
+    eq = solve_longrun_qeg(_spec([0.0], [1.0], [2.0]))
+    with pytest.raises(ValueError, match=r"buyers \[0\]"):
+        asymptotic_pack(eq)
+
+
+def test_asymptotic_pack_quasilinear_interior(symmetric_spec):
+    # beta* = (2/3, 2/3) stays below the cap: same pack as the linear market
+    pack = asymptotic_pack(solve_longrun_qeg(symmetric_spec))
+    linear = asymptotic_pack(solve_longrun_eg(symmetric_spec))
+    assert np.all(np.isfinite(pack.sigma_beta)) and np.all(np.isfinite(pack.sigma_u))
+    assert np.allclose(pack.sigma_beta, linear.sigma_beta, atol=1e-9)
+
+
 def test_sigma_beta_u_rejects_singular_hessian():
     with pytest.raises(np.linalg.LinAlgError):
         sigma_beta_u(np.zeros((2, 2)), np.ones(2), np.ones(2), np.ones(2))
