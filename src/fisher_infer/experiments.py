@@ -211,12 +211,12 @@ def _out_path(config: ExperimentConfig, out_dir: str | None, name: str) -> str |
 
 
 def _longrun_reference(spec: LongRunSpec, qlin: bool = False) -> LongRunEquilibrium | None:
+    """Exact long-run equilibrium of a 1-D linear spec; None for any other
+    valuation.  Solver errors propagate, so a sweep cannot silently lose
+    its reference."""
     if not isinstance(spec.valuation, Linear1DValuation):
         return None
-    try:
-        return solve_longrun_qeg(spec) if qlin else solve_longrun_eg(spec)
-    except (ValueError, RuntimeError):
-        return None
+    return solve_longrun_qeg(spec) if qlin else solve_longrun_eg(spec)
 
 
 # ---------------------------------------------------------------------------

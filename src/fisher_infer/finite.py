@@ -327,20 +327,27 @@ def _polish(V, b, beta, tol, cap):
 # ---------------------------------------------------------------------------
 
 
-def _smoothed(V, b, beta, mu):
-    """Value, gradient, Hessian and soft allocation of the smoothed dual."""
-    n, t = V.shape
+def _smoothed_value(V, b, beta, mu):
+    """Value of the smoothed dual, with the softmax weights E and their
+    per-item sums Z that the derivatives reuse."""
     bids = beta[:, None] * V
     top = bids.max(axis=0)
     E = np.exp((bids - top[None, :]) / mu)
     Z = E.sum(axis=0)
+    val = (top + mu * np.log(Z)).mean() - (b * np.log(beta)).sum()
+    return val, E, Z
+
+
+def _smoothed(V, b, beta, mu):
+    """Value, gradient and Hessian of the smoothed dual."""
+    n, t = V.shape
+    val, E, Z = _smoothed_value(V, b, beta, mu)
     sig = E / Z
     SV = sig * V
     g = SV.mean(axis=1) - b / beta
     H = -(SV @ SV.T) / (mu * t)
     H[np.arange(n), np.arange(n)] += (SV * V).sum(axis=1) / (mu * t) + b / beta ** 2
-    val = (top + mu * np.log(Z)).mean() - (b * np.log(beta)).sum()
-    return val, g, H, sig
+    return val, g, H
 
 
 def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
@@ -349,7 +356,7 @@ def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
     mu = SMOOTH_MU_START
     while mu >= SMOOTH_MU_STOP:
         for _ in range(80):
-            val, g, H, _ = _smoothed(V, b, beta, mu)
+            val, g, H = _smoothed(V, b, beta, mu)
             # freeze coordinates pressed against the cap
             at_cap = beta >= cap - 1e-12
             free = ~(at_cap & (g < 0))
@@ -367,7 +374,7 @@ def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
             while step > 1e-14:
                 cand = np.minimum(beta + step * d, cap)
                 if np.all(cand > 0):
-                    v2 = _smoothed(V, b, cand, mu)[0]
+                    v2 = _smoothed_value(V, b, cand, mu)[0]
                     if v2 <= val + 1e-4 * (g @ (cand - beta)):
                         break
                 step *= 0.5

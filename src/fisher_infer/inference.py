@@ -3,7 +3,8 @@
 Everything here consumes a single solved sampled market: the price
 second moment estimates the welfare CLT variance, per-item winning
 utilities estimate the per-buyer variances Omega_i^2, and a four-point
-numerical difference of the sampled dual estimates its Hessian.  The
+numerical difference of the sampled dual estimates its Hessian (each
+stencil point evaluated from the top-3 bids per item at beta_hat).  The
 intervals combine these through the asymptotic covariances; all normal
 quantiles come from statkit.normal_quantile (about 1e-9 accurate).
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .finite import FiniteEquilibrium
 from .longrun import _require_below_cap, sigma_beta_u
-from .markets import FiniteMarket, dual_value_sample
+from .markets import FiniteMarket, _check_beta
 from .statkit import normal_quantile
 
 NEG_CLAMP = -1e-10
@@ -76,6 +77,21 @@ def default_eta(t: int) -> float:
     return float(t) ** -0.25
 
 
+def _top3_bids(bids):
+    """The three highest bids on each item, best first, and their buyers.
+
+    Returns (values, buyers), both 3 x t; with fewer than three buyers
+    the missing rows hold bid -inf and buyer -1.
+    """
+    n, t = bids.shape
+    order = np.argsort(bids, axis=0)[::-1][:3]
+    values = np.full((3, t), -np.inf)
+    buyers = np.full((3, t), -1)
+    values[:n] = np.take_along_axis(bids, order, axis=0)
+    buyers[:n] = order
+    return values, buyers
+
+
 def hessian_numdiff(market: FiniteMarket, beta_hat, eta: float | None = None,
                     return_eta: bool = False):
     """Four-point numerical-difference Hessian of the sampled dual.
@@ -85,8 +101,16 @@ def hessian_numdiff(market: FiniteMarket, beta_hat, eta: float | None = None,
     eta defaults to default_eta(t) and is shrunk when a perturbed point
     would leave the positive orthant; pass return_eta=True to get the
     spacing actually used.
+
+    A stencil point moves only buyers i and j, so each item's max bid
+    there is the larger of their two moved bids and the best bid, at
+    beta_hat, of the other buyers, which is among the item's top-3 bids.
+    The top-3 are sorted once and the pairs of one row i are evaluated
+    together: O(n^2 (t + n)) work instead of O(n^3 t), with the same float
+    operations as full dual evaluations, so H is bit-identical to them.
+    beta_hat must have shape (n,) with positive finite entries.
     """
-    beta_hat = np.asarray(beta_hat, dtype=float)
+    beta_hat = _check_beta(market.n, beta_hat)
     n = len(beta_hat)
     if eta is None:
         eta = default_eta(market.t)
@@ -99,18 +123,34 @@ def hessian_numdiff(market: FiniteMarket, beta_hat, eta: float | None = None,
     if eta <= 0:
         raise ValueError("beta too close to the boundary for any spacing")
 
-    def F(beta):
-        return dual_value_sample(market, beta)
-
+    V, b = market.V, market.budgets
+    top_bid, top_buyer = _top3_bids(beta_hat[:, None] * V)
     H = np.zeros((n, n))
     I = np.eye(n)
     for i in range(n):
-        for j in range(i, n):
-            H[i, j] = (F(beta_hat + eta * (I[i] + I[j]))
-                       - F(beta_hat + eta * (-I[i] + I[j]))
-                       - F(beta_hat + eta * (I[i] - I[j]))
-                       + F(beta_hat - eta * (I[i] + I[j]))) / (4.0 * eta * eta)
-            H[j, i] = H[i, j]
+        # row i: the pairs (i, j), j >= i, at once.  Per item, the best and
+        # second-best bids of buyers other than i; pair (i, j) falls back
+        # to the second where j holds the best.
+        skip = top_buyer[0] == i
+        first = np.where(skip, top_bid[1], top_bid[0])
+        first_buyer = np.where(skip, top_buyer[1], top_buyer[0])
+        second = np.where(skip | (top_buyer[1] == i), top_bid[2], top_bid[1])
+        js = np.arange(i, n)
+        rows = np.arange(n - i)
+        rest = np.where(first_buyer == js[:, None], second, first)
+
+        def F(betas):
+            # betas[r] is the stencil point of pair (i, js[r]): only its
+            # bids of buyers i and js[r] differ from the bids at beta_hat
+            top = np.maximum(np.maximum(rest, betas[:, i, None] * V[i]),
+                             betas[rows, js, None] * V[js])
+            return top.mean(axis=1) - (b * np.log(betas)).sum(axis=1)
+
+        H[i, i:] = (F(beta_hat + eta * (I[i] + I[i:]))
+                    - F(beta_hat + eta * (-I[i] + I[i:]))
+                    - F(beta_hat + eta * (I[i] - I[i:]))
+                    + F(beta_hat - eta * (I[i] + I[i:]))) / (4.0 * eta * eta)
+        H[i:, i] = H[i, i:]
     H = 0.5 * (H + H.T)
     if return_eta:
         return H, float(eta)

@@ -6,6 +6,7 @@ against these slower, more literal computations.
 
 import numpy as np
 
+from fisher_infer.inference import default_eta
 from fisher_infer.markets import FiniteMarket, dual_value_sample
 
 
@@ -99,3 +100,35 @@ def mc_quadrature(fun, n_samples, seed):
     gen = np.random.default_rng(seed)
     vals = fun(gen.random(n_samples))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
+
+
+def hessian_numdiff_dense(market: FiniteMarket, beta_hat, eta=None):
+    """Four-point stencil Hessian of the sampled dual, one full dual
+    evaluation per stencil point: the reference for inference.hessian_numdiff."""
+    beta_hat = np.asarray(beta_hat, dtype=float)
+    n = len(beta_hat)
+    if eta is None:
+        eta = default_eta(market.t)
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    # worst perturbation is beta_i - 2 eta on the diagonal stencil
+    limit = 0.5 * beta_hat.min()
+    if eta >= limit:
+        eta = limit * (1.0 - 1e-9)
+    if eta <= 0:
+        raise ValueError("beta too close to the boundary for any spacing")
+
+    def F(beta):
+        return dual_value_sample(market, beta)
+
+    H = np.zeros((n, n))
+    I = np.eye(n)
+    for i in range(n):
+        for j in range(i, n):
+            H[i, j] = (F(beta_hat + eta * (I[i] + I[j]))
+                       - F(beta_hat + eta * (-I[i] + I[j]))
+                       - F(beta_hat + eta * (I[i] - I[j]))
+                       + F(beta_hat - eta * (I[i] + I[j]))) / (4.0 * eta * eta)
+            H[j, i] = H[i, j]
+    H = 0.5 * (H + H.T)
+    return H

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from fisher_infer import experiments
 from fisher_infer.cli import main as cli_main
 from fisher_infer.experiments import (
     CltResult,
@@ -172,6 +173,15 @@ def test_convergence_attaches_longrun_reference(symmetric_spec):
     assert res.nsw_star == pytest.approx(math.log(0.75), abs=1e-9)
     assert res.beta_star == pytest.approx((2 / 3, 2 / 3), abs=1e-9)
     assert all(e["n_ok"] == 4 and e["n_failed"] == 0 for e in res.summary)
+
+
+def test_convergence_propagates_longrun_solver_errors(symmetric_spec, monkeypatch):
+    def fail(spec):
+        raise RuntimeError("no certificate")
+
+    monkeypatch.setattr(experiments, "solve_longrun_eg", fail)
+    with pytest.raises(RuntimeError, match="no certificate"):
+        run_convergence_sweep(_mini_config(symmetric_spec))
 
 
 def test_convergence_single_buyer_exact_nsw():

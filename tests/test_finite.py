@@ -9,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisher_infer.finite import (
+    SMOOTH_MU_START,
+    SMOOTH_MU_STOP,
+    _smoothed,
+    _smoothed_value,
     cross_check_solvers,
     equilibrium_to_dict,
     save_equilibrium,
@@ -292,6 +296,21 @@ def test_newton_route_agrees_with_pr():
     eq_pr = solve_sample_eg(m, method="pr")
     eq_nt = solve_sample_eg(m, method="newton")
     assert np.abs(eq_pr.beta - eq_nt.beta).max() < 1e-6
+
+
+@pytest.mark.parametrize("V", [
+    _random_market(5, 40, seed=23).V,
+    # losing bids sit far below the top: exp underflows to 0 at small mu
+    np.array([[1.0, 1e-3, 0.0], [1e-3, 1.0, 1e-300]]),
+])
+def test_smoothed_value_probe_matches_full_evaluation(V):
+    n = V.shape[0]
+    b = np.full(n, 1.0 / n)
+    beta = np.random.default_rng(5).uniform(0.5, 2.0, n)
+    mu = SMOOTH_MU_START
+    while mu >= SMOOTH_MU_STOP:
+        assert _smoothed_value(V, b, beta, mu)[0] == _smoothed(V, b, beta, mu)[0]
+        mu *= 0.1
 
 
 def test_two_buyer_solvers_match_grid_search():

@@ -26,7 +26,8 @@ from fisher_infer.inference import (
     report_to_dict,
     save_report,
 )
-from fisher_infer.markets import FiniteMarket, sample_items
+from fisher_infer.markets import FiniteMarket, random_linear1d_spec, sample_items
+from oracles import hessian_numdiff_dense
 
 Z975 = 1.9599639845400538
 
@@ -267,6 +268,56 @@ def test_numdiff_validation():
         hessian_numdiff(market, np.array([1.0, 1.0]), eta=-1e-3)
     with pytest.raises(ValueError):
         hessian_numdiff(market, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        hessian_numdiff(market, np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        hessian_numdiff(market, np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        hessian_numdiff(market, np.array([np.inf, 1.0]))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    t=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zero_frac=st.sampled_from([0.0, 0.4]),
+    integer_values=st.booleans(),
+    duplicate=st.booleans(),
+    eta_kind=st.sampled_from(["default", "explicit", "boundary"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_numdiff_matches_dense_oracle(n, t, seed, zero_frac, integer_values, duplicate,
+                                      eta_kind):
+    market = _random_market(n, t, seed, zero_frac=zero_frac)
+    gen = np.random.default_rng(seed)
+    V, b = market.V.copy(), market.budgets.copy()
+    beta = gen.uniform(0.3, 2.0, n)
+    if integer_values:
+        # small integer values with equal multipliers make top bids tie exactly
+        V = np.floor(V)
+        V[:, 0] = np.maximum(V[:, 0], 1.0)
+        beta[:] = beta[0]
+    if duplicate:
+        V[:, t // 2:] = V[:, :t - t // 2]
+        if n > 1:
+            V[1], b[1], beta[1] = V[0], b[0], beta[0]
+    market = FiniteMarket(V=V, budgets=b)
+    eta = None
+    if eta_kind == "explicit":
+        eta = float(gen.uniform(1e-4, 0.1))
+    elif eta_kind == "boundary":
+        beta[gen.integers(n)] = 1e-3  # the default eta shrinks to below 5e-4
+    H, used = hessian_numdiff(market, beta, eta, return_eta=True)
+    assert np.array_equal(H, hessian_numdiff_dense(market, beta, eta))
+    if eta_kind == "boundary":
+        assert used < 5e-4
+
+
+def test_numdiff_matches_dense_oracle_n50():
+    market = sample_items(random_linear1d_spec(50, 0), t=250, seed=3)
+    eq = solve_sample_eg(market, method="newton")
+    H = hessian_numdiff(market, eq.beta)
+    assert np.array_equal(H, hessian_numdiff_dense(market, eq.beta))
 
 
 # ---------------------------------------------------------------------------
