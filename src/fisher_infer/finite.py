@@ -9,7 +9,9 @@ Three routes to the dual minimizer are provided and cross-checked:
 * "subgradient": projected subgradient descent on the dual over the
   multiplier box, with decaying steps, then a smoothed-dual Newton tail.
 * "newton": damped Newton on a softmax-smoothed dual with the smoothing
-  temperature driven to zero.  The fast route for large markets.
+  temperature driven to zero.  The fast route for large markets.  Its
+  softmax exponentiates only bids within 746 mu of their item's top bid:
+  exp of anything lower is exactly 0.0, so the cut changes no bit.
 
 All routes finish with an exact pattern solve: near the optimum the items
 whose top bids tie link buyers into a forest, and on the manifold where
@@ -329,19 +331,32 @@ def _polish(V, b, beta, tol, cap):
 
 def _smoothed_value(V, b, beta, mu):
     """Value of the smoothed dual, with the softmax weights E and their
-    per-item sums Z that the derivatives reuse."""
+    per-item sums Z that the derivatives reuse.
+
+    exp is exactly 0.0 at arguments <= -746, so only the other entries
+    of E are computed; at small mu that skips most of them, and the slow
+    underflowing ones.
+    """
     bids = beta[:, None] * V
     top = bids.max(axis=0)
-    E = np.exp((bids - top[None, :]) / mu)
+    # one buffer holds the bids, then the exponents, then the weights
+    E = bids
+    E -= top
+    E /= mu
+    idx = np.flatnonzero(E > -746.0)
+    e = np.exp(E.ravel()[idx])
+    E.fill(0.0)
+    np.put(E, idx, e)
     Z = E.sum(axis=0)
     val = (top + mu * np.log(Z)).mean() - (b * np.log(beta)).sum()
     return val, E, Z
 
 
-def _smoothed(V, b, beta, mu):
-    """Value, gradient and Hessian of the smoothed dual."""
+def _smoothed(V, b, beta, mu, value=None):
+    """Value, gradient and Hessian of the smoothed dual; value, if given,
+    is the _smoothed_value tuple at beta."""
     n, t = V.shape
-    val, E, Z = _smoothed_value(V, b, beta, mu)
+    val, E, Z = _smoothed_value(V, b, beta, mu) if value is None else value
     sig = E / Z
     SV = sig * V
     g = SV.mean(axis=1) - b / beta
@@ -355,8 +370,10 @@ def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
     n = len(b)
     mu = SMOOTH_MU_START
     while mu >= SMOOTH_MU_STOP:
+        # the accepted line-search probe is the smoothed value at the next beta
+        probe = None
         for _ in range(80):
-            val, g, H = _smoothed(V, b, beta, mu)
+            val, g, H = _smoothed(V, b, beta, mu, probe)
             # freeze coordinates pressed against the cap
             at_cap = beta >= cap - 1e-12
             free = ~(at_cap & (g < 0))
@@ -374,10 +391,12 @@ def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
             while step > 1e-14:
                 cand = np.minimum(beta + step * d, cap)
                 if np.all(cand > 0):
-                    v2 = _smoothed_value(V, b, cand, mu)[0]
-                    if v2 <= val + 1e-4 * (g @ (cand - beta)):
+                    probe = _smoothed_value(V, b, cand, mu)
+                    if probe[0] <= val + 1e-4 * (g @ (cand - beta)):
                         break
                 step *= 0.5
+            else:
+                probe = None
             new = np.minimum(beta + step * d, cap)
             if np.array_equal(new, beta):
                 break

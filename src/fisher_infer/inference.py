@@ -222,9 +222,14 @@ def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.0
     quasilinear markets the report centers on revenue: nsw_hat is the
     welfare of the money-metric utilities u + delta (eq.nsw) and its
     interval is degenerate (the price-variance estimator needs unit
-    total budget, which quasilinear markets do not satisfy).
+    total budget, which quasilinear markets do not satisfy).  A linear
+    market whose budgets do not sum to 1 raises ValueError for the same
+    reason.
     """
     qlin = eq.delta is not None
+    if not qlin and abs(market.budgets.sum() - 1.0) > 1e-9:
+        raise ValueError("the welfare variance estimate needs budgets that sum to 1 "
+                         "(see normalize_spec)")
     nsw_hat = eq.nsw
     omega2_hat, tied = estimate_omega2(market, eq)
     hessian_hat = None

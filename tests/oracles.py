@@ -132,3 +132,28 @@ def hessian_numdiff_dense(market: FiniteMarket, beta_hat, eta=None):
             H[j, i] = H[i, j]
     H = 0.5 * (H + H.T)
     return H
+
+
+def smoothed_value_dense(V, b, beta, mu):
+    """Value of the smoothed dual, with the softmax weights E and their
+    per-item sums Z, from exp of every bid: the reference for
+    finite._smoothed_value."""
+    bids = beta[:, None] * V
+    top = bids.max(axis=0)
+    E = np.exp((bids - top[None, :]) / mu)
+    Z = E.sum(axis=0)
+    val = (top + mu * np.log(Z)).mean() - (b * np.log(beta)).sum()
+    return val, E, Z
+
+
+def smoothed_dense(V, b, beta, mu):
+    """Value, gradient and Hessian of the smoothed dual from the dense
+    weights: the reference for finite._smoothed."""
+    n, t = V.shape
+    val, E, Z = smoothed_value_dense(V, b, beta, mu)
+    sig = E / Z
+    SV = sig * V
+    g = SV.mean(axis=1) - b / beta
+    H = -(SV @ SV.T) / (mu * t)
+    H[np.arange(n), np.arange(n)] += (SV * V).sum(axis=1) / (mu * t) + b / beta ** 2
+    return val, g, H

@@ -5,6 +5,7 @@ depend only on (base_seed, t, rep), and output CSVs must be
 byte-identical no matter how many workers produced them.
 """
 
+import dataclasses
 import json
 import math
 
@@ -382,6 +383,16 @@ def test_cli_solve_uncertified_exits_nonzero(cli_files, capsys, monkeypatch):
     assert "certified equilibrium" not in printed
     assert "not certified" in printed
     assert "1.000e-03" in printed and "1.0e-09" in printed
+
+
+def test_cli_solve_unnormalized_budgets_exits_nonzero(tmp_path, symmetric_spec, capsys):
+    spec_path = tmp_path / "spec.json"
+    save_spec(dataclasses.replace(symmetric_spec, budgets=np.array([1.0, 1.0])), str(spec_path))
+    rc = cli_main(["solve", "--spec", str(spec_path), "--t", "100", "--seed", "7"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "normalize_spec" in captured.err
+    assert "beta_hat" not in captured.out
 
 
 def test_cli_solve_quasilinear(cli_files, capsys):

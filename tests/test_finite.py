@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from fisher_infer import finite
 from fisher_infer.finite import (
+    DEFAULT_TOL,
     SMOOTH_MU_START,
     SMOOTH_MU_STOP,
+    _newton_tail,
     _smoothed,
     _smoothed_value,
     cross_check_solvers,
@@ -20,10 +24,18 @@ from fisher_infer.finite import (
     solve_sample_qeg,
     verify_kkt,
 )
-from fisher_infer.markets import FiniteMarket, dual_value_sample
+from fisher_infer.markets import (
+    FiniteMarket,
+    Linear1DValuation,
+    LongRunSpec,
+    Uniform01Supply,
+    dual_value_sample,
+    random_linear1d_spec,
+    sample_items,
+)
 
 from conftest import _random_market
-from oracles import grid_min_linear, grid_min_qlin
+from oracles import grid_min_linear, grid_min_qlin, smoothed_dense, smoothed_value_dense
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -311,6 +323,116 @@ def test_smoothed_value_probe_matches_full_evaluation(V):
     while mu >= SMOOTH_MU_STOP:
         assert _smoothed_value(V, b, beta, mu)[0] == _smoothed(V, b, beta, mu)[0]
         mu *= 0.1
+
+
+def _mu_schedule():
+    mus, mu = [], SMOOTH_MU_START
+    while mu >= SMOOTH_MU_STOP:
+        mus.append(mu)
+        mu *= 0.1
+    return mus
+
+
+MUS = _mu_schedule()
+
+
+@st.composite
+def smoothed_cases(draw):
+    """(V, b, beta, mu_band): bids with zero values and exact ties at value
+    scales 1e-3..1e4; at temperature mu_band (None if not drawn) buyer 1
+    bids 712..740 mu below buyer 0 on item 0, in exp's subnormal band."""
+    n = draw(st.integers(1, 8))
+    t = draw(st.integers(1, 60))
+    gen = np.random.default_rng(draw(seeds))
+    scale = 10.0 ** draw(st.integers(-3, 4))
+    if draw(st.booleans()):
+        # small integers and equal multipliers: zero values and tied bids
+        V = gen.integers(0, 4, size=(n, t)) * scale
+        beta = np.full(n, draw(st.sampled_from([0.5, 1.0, 3.0])))
+    else:
+        V = gen.uniform(0.0, scale, size=(n, t))
+        V[gen.random((n, t)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        beta = gen.uniform(0.1, 3.0, size=n)
+    b = gen.uniform(0.2, 1.0, size=n)
+    mu_band = None
+    if n >= 2 and draw(st.booleans()):
+        top = beta[0] * scale
+        # the gap a * mu must be resolvable next to top in float
+        mu_band = draw(st.sampled_from([mu for mu in MUS if 1e-12 * top < mu < top / 745]))
+        V[:, 0] = 0.0
+        V[0, 0] = scale
+        V[1, 0] = (top - draw(st.floats(712.0, 740.0)) * mu_band) / beta[1]
+    return V, b / b.sum(), beta, mu_band
+
+
+@given(case=smoothed_cases())
+@settings(max_examples=200, deadline=None)
+def test_smoothed_matches_dense_oracle(case):
+    V, b, beta, mu_band = case
+    if mu_band is not None:
+        E = smoothed_value_dense(V, b, beta, mu_band)[1]
+        assert ((E > 0) & (E < np.finfo(float).tiny)).any()
+    for mu in MUS:
+        for got, want in zip(_smoothed_value(V, b, beta, mu),
+                             smoothed_value_dense(V, b, beta, mu)):
+            assert np.array_equal(got, want)
+        for got, want in zip(_smoothed(V, b, beta, mu), smoothed_dense(V, b, beta, mu)):
+            assert np.array_equal(got, want)
+
+
+def _two_line_qlin_market():
+    # b_0 = 2 holds buyer 0 at the cap beta = 1
+    spec = LongRunSpec(budgets=np.array([2.0, 0.5]),
+                       valuation=Linear1DValuation(c=np.array([-2.0, 2.0]),
+                                                   d=np.array([2.0, 0.0])),
+                       supply=Uniform01Supply())
+    return sample_items(spec, 400, seed=1)
+
+
+TAIL_CASES = {
+    "eg-3x20": (lambda: _random_market(3, 20, seed=0), np.inf),
+    "eg-5x40-zeros": (lambda: _random_market(5, 40, seed=1, zero_frac=0.3), np.inf),
+    "eg-8x60": (lambda: _random_market(8, 60, seed=2), np.inf),
+    "qeg-cap": (_two_line_qlin_market, 1.0),
+    "eg-50x250": (lambda: sample_items(random_linear1d_spec(50, 0), 250, seed=0), np.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(TAIL_CASES))
+def test_newton_tail_matches_dense_oracle_tail(case, monkeypatch):
+    make, cap = TAIL_CASES[case]
+    market = make()
+    V, b = market.V, market.budgets
+    beta0 = np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap)
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    def run():
+        calls[0] = 0
+        return _newton_tail(V, b, beta0, DEFAULT_TOL, cap), calls[0]
+
+    with monkeypatch.context() as m:
+        m.setattr(finite, "_smoothed_value", counted(finite._smoothed_value))
+        (res, beta), evals = run()
+    # the dense oracles, every derivative evaluation recomputing the value
+    monkeypatch.setattr(oracles, "smoothed_value_dense", counted(smoothed_value_dense))
+    monkeypatch.setattr(finite, "_smoothed_value", oracles.smoothed_value_dense)
+    monkeypatch.setattr(finite, "_smoothed",
+                        lambda V, b, beta, mu, value=None: smoothed_dense(V, b, beta, mu))
+    (res_o, beta_o), evals_o = run()
+
+    assert res is not None and res_o is not None
+    assert beta.tobytes() == beta_o.tobytes()
+    for got, want in zip(res, res_o):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if np.isfinite(cap):
+        assert np.any(res[0] == cap)
+    assert evals < evals_o
 
 
 def test_two_buyer_solvers_match_grid_search():

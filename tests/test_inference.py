@@ -299,6 +299,7 @@ def test_numdiff_matches_dense_oracle(n, t, seed, zero_frac, integer_values, dup
         beta[:] = beta[0]
     if duplicate:
         V[:, t // 2:] = V[:, :t - t // 2]
+        V[~(V > 0).any(axis=1), 0] = 1.0  # the copy may overwrite a row's only positive value
         if n > 1:
             V[1], b[1], beta[1] = V[0], b[0], beta[0]
     market = FiniteMarket(V=V, budgets=b)
@@ -449,6 +450,15 @@ def test_build_report_hessian_quasilinear_interior(symmetric_spec):
     rep = build_report(market, eq, use_hessian=True)
     assert np.all(np.isfinite(rep.beta_ci)) and np.all(np.isfinite(rep.u_ci))
     assert np.all(rep.beta_ci[:, 0] < rep.beta_ci[:, 1])
+
+
+def test_build_report_rejects_unnormalized_linear_budgets():
+    # mean(p^2) - 1 is the price variance only when the budgets sum to 1
+    market = FiniteMarket(V=np.array([[3.0, 1.0], [1.0, 3.0]]), budgets=np.array([1.0, 1.0]))
+    eq = solve_sample_eg(market)
+    assert eq.certificate.certified
+    with pytest.raises(ValueError, match="normalize_spec"):
+        build_report(market, eq)
 
 
 def test_build_report_flags_ties():
