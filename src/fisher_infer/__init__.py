@@ -20,12 +20,10 @@ from .longrun import (AsymptoticPack, Envelope, LongRunEquilibrium, asymptotic_p
                       dual_grad_pop, dual_value_pop, hessian_longrun_linear,
                       longrun_to_dict, omega2, pack_to_dict, sigma2_nsw, sigma_beta_u,
                       solve_longrun_eg, solve_longrun_qeg, upper_envelope)
-from .markets import (EqBounds, FiniteMarket, GapWinner, Linear1DValuation,
-                      LinearMDValuation, LongRunSpec, Uniform01Supply, UniformCubeSupply,
-                      dual_subgradient_sample, dual_value_sample, eq_bounds,
-                      gap_and_winner, load_spec, market_from_csv, market_to_csv,
-                      normalize_spec, random_linear1d_spec, sample_items, save_spec,
-                      spec_from_dict, spec_to_dict)
+from .markets import (FiniteMarket, Linear1DValuation, LinearMDValuation, LongRunSpec,
+                      Uniform01Supply, UniformCubeSupply, dual_subgradient_sample,
+                      dual_value_sample, load_spec, normalize_spec, random_linear1d_spec,
+                      sample_items, save_spec, spec_from_dict, spec_to_dict)
 from .statkit import (KSResult, RateFit, fit_rate, ks_normal_test, normal_cdf,
                       normal_quantile, qq_points, summarize_reps)
 from .experiments import (ExperimentConfig, derive_seed, load_config,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite import solve_sample_eg, solve_sample_qeg
-from .inference import ci_nsw, estimate_sigma2_nsw
+from .inference import _require_unit_budgets, ci_nsw, estimate_sigma2_nsw
 from .longrun import LongRunEquilibrium, sigma2_nsw, solve_longrun_eg, solve_longrun_qeg
 from .markets import (Linear1DValuation, LongRunSpec, sample_items, spec_from_dict,
                       spec_to_dict)
@@ -240,9 +240,11 @@ def run_convergence_sweep(config: ExperimentConfig,
 
     When the spec admits an exact long-run solution, absolute errors
     against it are tabulated and a log-log rate is fit to the mean
-    error per t (and to the multiplier error norm).
+    error per t (and to the multiplier error norm).  Budgets that do
+    not sum to 1 raise ValueError before any replication runs.
     """
     star = _longrun_reference(config.spec)
+    _require_unit_budgets(config.spec.budgets)
     nsw_star = star.nsw_star if star is not None else None
     beta_star = tuple(star.beta_star) if star is not None else None
     rows = _run_jobs(_jobs_for(config, config.t_grid, qlin=False))

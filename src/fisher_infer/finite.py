@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markets import FiniteMarket
+from .markets import FiniteMarket, dual_subgradient_sample
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
@@ -219,7 +219,8 @@ def _split_tied_supply(V, winmask, tied_items, targets, s, capped):
         A[i0, k] = -V[i0, tau]
     keep = ~capped
     sol, *_ = np.linalg.lstsq(A[keep], d[keep], rcond=None)
-    if sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
+    # with every buyer at the cap no utility row is left to check
+    if keep.any() and sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
         return None
     if np.any(sol < -1e-9) or np.any(sol > s * (1 + 1e-6)):
         return None
@@ -455,9 +456,10 @@ def _run_pr(V, b, tol, max_iter, cap):
 # ---------------------------------------------------------------------------
 
 
-def _subgradient_start(V, b, cap, iters=SUBGRADIENT_ITERS):
+def _subgradient_start(market, cap, iters=SUBGRADIENT_ITERS):
     """Best point of a decaying-step projected subgradient run."""
-    n, t = V.shape
+    V, b = market.V, market.budgets
+    n = V.shape[0]
     vbar = V.max(axis=1)
     if np.isinf(cap):
         lo, hi = b / vbar, np.full(n, b.sum() / vbar.min())
@@ -466,12 +468,8 @@ def _subgradient_start(V, b, cap, iters=SUBGRADIENT_ITERS):
     beta = np.clip(b / V.mean(axis=1), lo, hi)
     best, best_val = beta.copy(), _dual(V, b, beta)
     D = float(np.linalg.norm(hi - lo)) or 1.0
-    idx = np.arange(t)
     for k in range(1, iters + 1):
-        bids = beta[:, None] * V
-        winner = bids.argmax(axis=0)
-        g = -b / beta
-        np.add.at(g, winner, V[winner, idx] / t)
+        g = dual_subgradient_sample(market, beta)
         norm = np.linalg.norm(g)
         if norm == 0:
             break
@@ -517,7 +515,7 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
         res, iters, escalated = _run_pr(V, b, tol, max_iter, cap)
     else:
         if method == "subgradient":
-            beta0, iters = _subgradient_start(V, b, cap), SUBGRADIENT_ITERS
+            beta0, iters = _subgradient_start(market, cap), SUBGRADIENT_ITERS
         elif method == "newton":
             beta0, iters = np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap), 0
         else:

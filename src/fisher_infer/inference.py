@@ -211,6 +211,13 @@ class InferenceReport:
     rev_hat: float | None = None
 
 
+def _require_unit_budgets(budgets) -> None:
+    """Raise unless the budgets sum to 1, as estimate_sigma2_nsw assumes."""
+    if abs(budgets.sum() - 1.0) > 1e-9:
+        raise ValueError("the welfare variance estimate needs budgets that sum to 1 "
+                         "(see normalize_spec)")
+
+
 def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.05,
                  use_hessian: bool = False, eta: float | None = None) -> InferenceReport:
     """Assemble the full report for a solved market.
@@ -227,9 +234,8 @@ def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.0
     reason.
     """
     qlin = eq.delta is not None
-    if not qlin and abs(market.budgets.sum() - 1.0) > 1e-9:
-        raise ValueError("the welfare variance estimate needs budgets that sum to 1 "
-                         "(see normalize_spec)")
+    if not qlin:
+        _require_unit_budgets(market.budgets)
     nsw_hat = eq.nsw
     omega2_hat, tied = estimate_omega2(market, eq)
     hessian_hat = None

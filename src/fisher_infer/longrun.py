@@ -147,16 +147,22 @@ def dual_grad_pop(spec: LongRunSpec, beta, return_tied: bool = False):
     """
     val = _require_linear1d(spec)
     beta = np.asarray(beta, dtype=float)
-    env = _scaled_envelope(spec, beta)
-    g = -spec.budgets / beta
-    for k, w in enumerate(env.winners):
-        g[w] += _int_lin(val.c[w], val.d[w], env.breakpoints[k], env.breakpoints[k + 1])
+    g = _utilities_from_envelope(spec, _scaled_envelope(spec, beta)) - spec.budgets / beta
     if return_tied:
         scaled = np.stack([beta * val.c, beta * val.d], axis=1)
         srt = scaled[np.lexsort((scaled[:, 1], scaled[:, 0]))]
         tied = bool(np.any(np.all(srt[1:] == srt[:-1], axis=1)))
         return g, tied
     return g
+
+
+def _utilities_from_envelope(spec, env):
+    """Winning-value integral per buyer; each line wins at most one segment."""
+    val = spec.valuation
+    u = np.zeros(spec.n)
+    for k, w in enumerate(env.winners):
+        u[w] += _int_lin(val.c[w], val.d[w], env.breakpoints[k], env.breakpoints[k + 1])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +261,6 @@ class LongRunEquilibrium:
                  float(self.price_intercepts[k])) for k in range(len(self.winners))]
 
 
-def _utilities_from_envelope(spec, env):
-    val = spec.valuation
-    u = np.zeros(spec.n)
-    for k, w in enumerate(env.winners):
-        u[w] += _int_lin(val.c[w], val.d[w], env.breakpoints[k], env.breakpoints[k + 1])
-    return u
-
-
 def _check_normalized(spec, budgets=True):
     means = spec.valuation.means()
     if np.abs(means - 1.0).max() > 1e-9:
@@ -271,7 +269,7 @@ def _check_normalized(spec, budgets=True):
         raise ValueError("budgets must sum to 1 (see normalize_spec)")
 
 
-def _descent_step(spec, beta, g, box_cap, frozen=None):
+def _descent_step(spec, beta, g, cap, frozen):
     """One damped step: Newton direction when the Hessian exists, else
     steepest descent, with backtracking on the dual value.
 
@@ -281,7 +279,7 @@ def _descent_step(spec, beta, g, box_cap, frozen=None):
     """
     try:
         H = hessian_longrun_linear(spec, beta)
-        if frozen is not None and frozen.any():
+        if frozen.any():
             free = ~frozen
             d = np.zeros_like(beta)
             d[free] = np.linalg.solve(H[np.ix_(free, free)], -g[free])
@@ -292,14 +290,64 @@ def _descent_step(spec, beta, g, box_cap, frozen=None):
     val = dual_value_pop(spec, beta)
     step = 1.0
     while step > 1e-16:
-        cand = beta + step * d
-        if box_cap is not None:
-            cand = np.minimum(cand, box_cap)
+        cand = np.minimum(beta + step * d, cap)
         if np.all(cand > 0):
             if dual_value_pop(spec, cand) <= val + 1e-4 * (g @ (cand - beta)):
                 return cand
         step *= 0.5
     return beta
+
+
+def _projected_residual(beta, g, cap):
+    """(at_cap, residual) for min H over (0, cap]^n: the residual is |g_i|
+    below the cap and max(g_i, 0) at it."""
+    at_cap = beta >= cap - 1e-12
+    return at_cap, np.where(at_cap, np.maximum(g, 0.0), np.abs(g))
+
+
+def _solve_longrun(spec: LongRunSpec, tol: float, max_iter: int,
+                   beta0: np.ndarray | None, cap: float) -> LongRunEquilibrium:
+    """The one long-run solve body: minimizes H over (0, cap]^n, where
+    cap is inf for linear buyers and 1 for quasilinear ones.
+
+    The certificate is the projected gradient norm.  Buyers at the cap
+    keep leftover money delta_i = b_i - beta_i u_i (delta is None for
+    linear buyers).
+    """
+    val = _require_linear1d(spec)
+    _check_normalized(spec, budgets=False)
+    b = spec.budgets
+    beta = b / val.means() if beta0 is None else np.asarray(beta0, dtype=float)
+    beta = np.minimum(beta, cap)
+    if beta.shape != (spec.n,) or np.any(beta <= 0):
+        raise ValueError("beta0 must be a positive vector of length n")
+
+    g = dual_grad_pop(spec, beta)
+    for _ in range(max_iter):
+        at_cap, resid = _projected_residual(beta, g, cap)
+        if resid.max() <= tol:
+            break
+        frozen = at_cap & (g < 0)
+        new = _descent_step(spec, beta, np.where(frozen, 0.0, g), cap, frozen)
+        if np.array_equal(new, beta):
+            break
+        beta = new
+        g = dual_grad_pop(spec, beta)
+    grad_norm = float(_projected_residual(beta, g, cap)[1].max())
+    if grad_norm > tol:
+        what = "gradient norm" if np.isinf(cap) else "projected gradient"
+        raise RuntimeError(f"no certificate: {what} {grad_norm:.3e} > {tol:.1e}")
+
+    env = _scaled_envelope(spec, beta)
+    u = _utilities_from_envelope(spec, env)
+    lo, hi = env.breakpoints[:-1], env.breakpoints[1:]
+    rev = float(_int_lin(env.slopes, env.intercepts, lo, hi).sum())
+    delta = None if np.isinf(cap) else np.maximum(b - beta * u, 0.0)
+    nsw = float((b * np.log(u)).sum()) if np.all(u > 0) else float("nan")
+    return LongRunEquilibrium(
+        spec=spec, beta_star=beta, breakpoints=env.breakpoints, winners=env.winners,
+        price_slopes=env.slopes, price_intercepts=env.intercepts, u_star=u,
+        nsw_star=nsw, rev=rev, grad_norm=grad_norm, delta=delta)
 
 
 def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10,
@@ -316,33 +364,10 @@ def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10,
     _check_normalized(spec, budgets=True)
     if not np.all(np.diff(val.d) < 0):
         raise ValueError("value intercepts must be strictly decreasing")
-    b = spec.budgets
-    beta = b / val.means() if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    if beta.shape != (spec.n,) or np.any(beta <= 0):
-        raise ValueError("beta0 must be a positive vector of length n")
-    g = dual_grad_pop(spec, beta)
-    for _ in range(max_iter):
-        if np.abs(g).max() <= tol:
-            break
-        new = _descent_step(spec, beta, g, None)
-        if np.array_equal(new, beta):
-            break
-        beta = new
-        g = dual_grad_pop(spec, beta)
-    grad_norm = float(np.abs(g).max())
-    if grad_norm > tol:
-        raise RuntimeError(f"no certificate: gradient norm {grad_norm:.3e} > {tol:.1e}")
-
-    env = _scaled_envelope(spec, beta)
-    if not np.array_equal(env.winners, np.arange(spec.n)):
+    eq = _solve_longrun(spec, tol, max_iter, beta0, np.inf)
+    if not np.array_equal(eq.winners, np.arange(spec.n)):
         raise RuntimeError("equilibrium winner structure is not the ordered partition")
-    u = _utilities_from_envelope(spec, env)
-    lo, hi = env.breakpoints[:-1], env.breakpoints[1:]
-    rev = float(_int_lin(env.slopes, env.intercepts, lo, hi).sum())
-    return LongRunEquilibrium(
-        spec=spec, beta_star=beta, breakpoints=env.breakpoints, winners=env.winners,
-        price_slopes=env.slopes, price_intercepts=env.intercepts, u_star=u,
-        nsw_star=float((b * np.log(u)).sum()), rev=rev, grad_norm=grad_norm)
+    return eq
 
 
 def solve_longrun_qeg(spec: LongRunSpec, tol: float = 1e-10,
@@ -354,44 +379,7 @@ def solve_longrun_qeg(spec: LongRunSpec, tol: float = 1e-10,
     beta_i = 1 keep leftover money delta_i = b_i - beta_i u_i, and the
     seller collects rev = integral of the price curve.
     """
-    val = _require_linear1d(spec)
-    _check_normalized(spec, budgets=False)
-    b = spec.budgets
-    cap = np.ones(spec.n)
-    if beta0 is None:
-        beta = np.minimum(b / val.means(), cap)
-    else:
-        beta = np.minimum(np.asarray(beta0, dtype=float), cap)
-        if beta.shape != (spec.n,) or np.any(beta <= 0):
-            raise ValueError("beta0 must be a positive vector of length n")
-    for _ in range(max_iter):
-        g = dual_grad_pop(spec, beta)
-        at_cap = beta >= 1.0 - 1e-12
-        resid = np.where(at_cap, np.maximum(g, 0.0), np.abs(g))
-        if resid.max() <= tol:
-            break
-        frozen = at_cap & (g < 0)
-        g_eff = np.where(frozen, 0.0, g)
-        new = _descent_step(spec, beta, g_eff, cap, frozen=frozen)
-        if np.array_equal(new, beta):
-            break
-        beta = new
-    g = dual_grad_pop(spec, beta)
-    at_cap = beta >= 1.0 - 1e-12
-    grad_norm = float(np.where(at_cap, np.maximum(g, 0.0), np.abs(g)).max())
-    if grad_norm > tol:
-        raise RuntimeError(f"no certificate: projected gradient {grad_norm:.3e} > {tol:.1e}")
-
-    env = _scaled_envelope(spec, beta)
-    u = _utilities_from_envelope(spec, env)
-    lo, hi = env.breakpoints[:-1], env.breakpoints[1:]
-    rev = float(_int_lin(env.slopes, env.intercepts, lo, hi).sum())
-    delta = np.maximum(b - beta * u, 0.0)
-    nsw = float((b * np.log(u)).sum()) if np.all(u > 0) else float("nan")
-    return LongRunEquilibrium(
-        spec=spec, beta_star=beta, breakpoints=env.breakpoints, winners=env.winners,
-        price_slopes=env.slopes, price_intercepts=env.intercepts, u_star=u,
-        nsw_star=nsw, rev=rev, grad_norm=grad_norm, delta=delta)
+    return _solve_longrun(spec, tol, max_iter, beta0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Market primitives: specs, sampling, dual objective, bid gaps, bounds.
+"""Market primitives: specs, sampling, the sampled dual, serialization.
 
 A long-run market is a continuum of items indexed by a type theta drawn
 from a supply distribution, with n buyers holding budgets b_i and linear
@@ -15,16 +15,10 @@ equilibrium via u_i = b_i / beta_i and per-item prices max_i beta_i V[i, tau].
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-
-# Sentinel used for the bid gap when there is no rival buyer (n == 1):
-# largest finite float, paired with the no_rival flag on GapWinner.
-GAP_SENTINEL = float(np.finfo(np.float64).max)
-
 
 # ---------------------------------------------------------------------------
 # Valuations and supply
@@ -272,7 +266,7 @@ def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongR
 
 
 # ---------------------------------------------------------------------------
-# Dual objective, subgradient, bid gaps
+# Dual objective and subgradient
 # ---------------------------------------------------------------------------
 
 
@@ -296,70 +290,6 @@ def dual_subgradient_sample(market: FiniteMarket, beta: np.ndarray) -> np.ndarra
     g = -market.budgets / beta
     np.add.at(g, winner, market.V[winner, np.arange(market.t)] / market.t)
     return g
-
-
-@dataclass(frozen=True)
-class GapWinner:
-    """Bid gap and winner set for a single item.
-
-    gap is the winning bid minus the best rival bid; with a single buyer
-    there is no rival, the gap is reported as the largest finite float
-    and no_rival is set.
-    """
-
-    gap: float
-    winners: tuple[int, ...]
-    no_rival: bool = False
-
-
-def gap_and_winner(beta: np.ndarray, values: np.ndarray) -> GapWinner:
-    """Winning margin and argmax set for one item with value vector `values`."""
-    beta = np.asarray(beta, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if beta.shape != values.shape or beta.ndim != 1 or len(beta) == 0:
-        raise ValueError("beta and values must be 1-d of equal length")
-    if np.any(beta <= 0):
-        raise ValueError("beta must be positive")
-    if np.any(values < 0):
-        raise ValueError("values must be nonnegative")
-    bids = beta * values
-    top = bids.max()
-    winners = tuple(int(i) for i in np.flatnonzero(bids == top))
-    if len(bids) == 1:
-        return GapWinner(gap=GAP_SENTINEL, winners=winners, no_rival=True)
-    if len(winners) > 1:
-        return GapWinner(gap=0.0, winners=winners)
-    rival = np.delete(bids, winners[0]).max()
-    return GapWinner(gap=float(top - rival), winners=winners)
-
-
-@dataclass(frozen=True)
-class EqBounds:
-    """Componentwise bounds on equilibrium multipliers plus a search box.
-
-    lower_i = b_i / E[v_i] and upper = sum(b) / min_i E[v_i] bound the
-    long-run equilibrium multiplier; the box widens both by a factor of 2
-    so that approximation arguments hold uniformly in a neighborhood.
-    """
-
-    lower: np.ndarray
-    upper: float
-    box_lower: np.ndarray
-    box_upper: np.ndarray
-
-
-def eq_bounds(spec: LongRunSpec) -> EqBounds:
-    means = spec.valuation.means()
-    if not np.allclose(means, 1.0, atol=1e-9):
-        raise ValueError("eq_bounds requires value-normalized specs (unit means)")
-    lower = spec.budgets / means
-    upper = float(spec.budgets.sum() / means.min())
-    return EqBounds(
-        lower=lower,
-        upper=upper,
-        box_lower=lower / 2.0,
-        box_upper=np.full(spec.n, 2.0 * upper),
-    )
 
 
 def _check_beta(n: int, beta) -> np.ndarray:
@@ -426,33 +356,7 @@ def load_spec(path: str) -> LongRunSpec:
         return spec_from_dict(json.load(fh))
 
 
-def market_to_csv(market: FiniteMarket, path: str) -> None:
-    """Write the value matrix as rows of items: item,buyer1,...,buyerN."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item"] + [f"buyer{i + 1}" for i in range(market.n)])
-        for tau in range(market.t):
-            # repr of a python float round-trips exactly
-            writer.writerow([tau] + [repr(float(v)) for v in market.V[:, tau]])
-
-
-def market_from_csv(path: str, budgets: np.ndarray, seed: int | None = None) -> FiniteMarket:
-    """Read a value matrix written by market_to_csv; budgets are supplied."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "item":
-            raise ValueError("expected header starting with 'item'")
-        n = len(header) - 1
-        rows = [[float(c) for c in row[1:]] for row in reader]
-    V = np.array(rows, dtype=float).T
-    if V.shape[0] != n:
-        raise ValueError("row width does not match header")
-    return FiniteMarket(V=V, budgets=np.asarray(budgets, dtype=float), seed=seed)
-
-
 __all__ = [
-    "GAP_SENTINEL",
     "Linear1DValuation",
     "LinearMDValuation",
     "Uniform01Supply",
@@ -464,14 +368,8 @@ __all__ = [
     "random_linear1d_spec",
     "dual_value_sample",
     "dual_subgradient_sample",
-    "GapWinner",
-    "gap_and_winner",
-    "EqBounds",
-    "eq_bounds",
     "spec_to_dict",
     "spec_from_dict",
     "save_spec",
     "load_spec",
-    "market_to_csv",
-    "market_from_csv",
 ]

@@ -44,12 +44,6 @@ def _random_market(n: int, t: int, seed: int, zero_frac: float = 0.0) -> FiniteM
     return FiniteMarket(V=V, budgets=b / b.sum())
 
 
-@pytest.fixture
-def make_market():
-    """Factory for random finite markets with normalized budgets."""
-    return _random_market
-
-
 def _box_point(budgets: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     # a uniform draw from the multiplier box C = prod_i [b_i/2, 2]
     lo = budgets / 2.0

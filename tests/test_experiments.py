@@ -185,6 +185,23 @@ def test_convergence_propagates_longrun_solver_errors(symmetric_spec, monkeypatc
         run_convergence_sweep(_mini_config(symmetric_spec))
 
 
+@pytest.mark.parametrize("budgets", [(0.3, 0.3), (1.0, 1.0)])
+def test_convergence_rejects_unnormalized_budgets_before_solving(budgets, monkeypatch):
+    # no long-run reference for a multidimensional spec, so the sweep must
+    # check the budgets itself before any replication runs
+    spec = LongRunSpec(budgets=np.array(budgets),
+                       valuation=LinearMDValuation(a=np.eye(2), c=np.array([0.5, 0.5])),
+                       supply=UniformCubeSupply(dim=2))
+
+    def no_jobs(jobs):
+        raise AssertionError("replications dispatched")
+
+    monkeypatch.setattr(experiments, "_run_jobs", no_jobs)
+    cfg = _mini_config(spec, t_grid=(50,), k=2, method="newton")
+    with pytest.raises(ValueError, match="normalize_spec"):
+        run_convergence_sweep(cfg)
+
+
 def test_convergence_single_buyer_exact_nsw():
     spec = _single_buyer_spec()
     cfg = _mini_config(spec, t_grid=(50, 200))

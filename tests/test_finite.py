@@ -109,6 +109,17 @@ def test_qlin_two_buyer_matches_grid_search():
     assert eq.rev == pytest.approx(float(eq.p.mean()), abs=1e-15)
 
 
+@pytest.mark.parametrize("method", ["pr", "newton", "subgradient"])
+def test_qlin_all_buyers_capped_on_a_tied_item(method):
+    # both buyers sit at the cap and tie on the one item, so the tied-supply
+    # split keeps no utility row
+    m = FiniteMarket(V=np.ones((2, 1)), budgets=np.array([2.0, 2.0]))
+    eq = solve_sample_qeg(m, method=method)
+    assert eq.certificate.certified
+    assert np.array_equal(eq.beta, [1.0, 1.0])
+    assert verify_kkt(m, eq).passed
+
+
 def test_solver_rejects_zero_value_buyer():
     V = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ValueError):

@@ -264,6 +264,25 @@ def test_qeg_restarts_agree():
         assert np.abs(eq.beta_star - base.beta_star).max() <= 10 * tol
 
 
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_eg_and_qeg_agree_bit_for_bit_below_the_cap(n, seed):
+    # both solvers run one body; with every multiplier below the cap they
+    # solve the same problem by the same steps
+    spec = random_linear1d_spec(n, seed)
+    try:
+        eg = solve_longrun_eg(spec)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            solve_longrun_qeg(spec)
+        return
+    qeg = solve_longrun_qeg(spec)
+    assume(np.all(qeg.beta_star < 1.0))
+    assert np.array_equal(qeg.beta_star, eg.beta_star)
+    assert np.array_equal(qeg.u_star, eg.u_star)
+    assert (qeg.nsw_star, qeg.rev, qeg.grad_norm) == (eg.nsw_star, eg.rev, eg.grad_norm)
+
+
 # ---------------------------------------------------------------------------
 # Analytic Hessian
 # ---------------------------------------------------------------------------

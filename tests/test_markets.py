@@ -1,14 +1,16 @@
-"""Market primitives: specs, sampling, dual objective, gaps, bounds."""
+"""Market primitives: specs, sampling, dual objective, serialization."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fisher_infer
 from fisher_infer.markets import (
-    GAP_SENTINEL,
     FiniteMarket,
     Linear1DValuation,
     LinearMDValuation,
@@ -17,11 +19,7 @@ from fisher_infer.markets import (
     UniformCubeSupply,
     dual_subgradient_sample,
     dual_value_sample,
-    eq_bounds,
-    gap_and_winner,
     load_spec,
-    market_from_csv,
-    market_to_csv,
     normalize_spec,
     random_linear1d_spec,
     sample_items,
@@ -242,111 +240,6 @@ def test_subgradient_inequality(seed):
 
 
 # ---------------------------------------------------------------------------
-# Gap and winner
-# ---------------------------------------------------------------------------
-
-
-def test_gap_unique_winner():
-    gw = gap_and_winner(np.array([1.0, 1.0]), np.array([3.0, 1.0]))
-    assert gw.gap == pytest.approx(2.0)
-    assert gw.winners == (0,)
-    assert not gw.no_rival
-
-
-def test_gap_tie():
-    gw = gap_and_winner(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-    assert gw.gap == 0.0
-    assert gw.winners == (0, 1)
-
-
-def test_gap_crossing_valuations():
-    # v = (2 - 2 theta, 2 theta) at theta = 1/4 under beta = (2/3, 2/3)
-    beta = np.array([2.0, 2.0]) / 3.0
-    vals = np.array([1.5, 0.5])
-    gw = gap_and_winner(beta, vals)
-    assert gw.gap == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert gw.winners == (0,)
-
-
-def test_gap_single_buyer_sentinel():
-    gw = gap_and_winner(np.array([1.0]), np.array([2.0]))
-    assert gw.no_rival
-    assert gw.gap == GAP_SENTINEL
-    assert gw.winners == (0,)
-
-
-def test_gap_zero_iff_multiple_winners():
-    gen = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(gen.integers(2, 6))
-        gw = gap_and_winner(gen.uniform(0.1, 2.0, n), gen.uniform(0.0, 3.0, n))
-        assert (gw.gap == 0.0) == (len(gw.winners) >= 2)
-
-
-@given(seed=seeds)
-@settings(max_examples=60, deadline=None)
-def test_winner_stable_under_small_perturbation(seed):
-    # moving beta by less than gap / (3 vbar) cannot change the winner
-    gen = np.random.default_rng(seed)
-    n = int(gen.integers(2, 6))
-    beta = gen.uniform(0.2, 2.0, n)
-    vals = gen.uniform(0.0, 3.0, n)
-    gw = gap_and_winner(beta, vals)
-    if gw.gap == 0.0:
-        return
-    vbar = vals.max()
-    radius = min(gw.gap / (3.0 * vbar), beta.min() / 2.0) * 0.999
-    h = gen.uniform(-radius, radius, n)
-    assert gap_and_winner(beta + h, vals).winners == gw.winners
-
-
-# ---------------------------------------------------------------------------
-# Equilibrium bounds
-# ---------------------------------------------------------------------------
-
-
-def test_eq_bounds_two_buyers(symmetric_spec):
-    bounds = eq_bounds(symmetric_spec)
-    assert np.allclose(bounds.lower, [0.5, 0.5])
-    assert bounds.upper == pytest.approx(1.0)
-    assert np.allclose(bounds.box_lower, [0.25, 0.25])
-    assert np.allclose(bounds.box_upper, [2.0, 2.0])
-
-
-def test_eq_bounds_single_buyer():
-    val = Linear1DValuation(c=np.array([0.0]), d=np.array([1.0]))
-    spec = LongRunSpec(budgets=np.array([1.0]), valuation=val)
-    bounds = eq_bounds(spec)
-    assert np.allclose(bounds.lower, [1.0])
-    assert bounds.upper == pytest.approx(1.0)
-    assert np.allclose(bounds.box_lower, [0.5])
-    assert np.allclose(bounds.box_upper, [2.0])
-
-
-def test_eq_bounds_skewed_budgets():
-    val = Linear1DValuation(c=np.array([0.0, 0.0]), d=np.array([1.0, 1.0]))
-    spec = LongRunSpec(budgets=np.array([0.9, 0.1]), valuation=val)
-    bounds = eq_bounds(spec)
-    assert np.allclose(bounds.lower, [0.9, 0.1])
-    assert np.allclose(bounds.box_lower, [0.45, 0.05])
-    assert np.allclose(bounds.box_upper, [2.0, 2.0])
-
-
-def test_eq_bounds_rejects_unnormalized_values():
-    val = Linear1DValuation(c=np.array([2.0]), d=np.array([1.0]))  # mean 2
-    spec = LongRunSpec(budgets=np.array([1.0]), valuation=val)
-    with pytest.raises(ValueError):
-        eq_bounds(spec)
-
-
-def test_eq_bounds_box_contains_bounds(five_buyer_spec):
-    bounds = eq_bounds(five_buyer_spec)
-    assert np.all(bounds.lower <= bounds.upper)
-    assert np.all(bounds.box_lower <= bounds.lower)
-    assert np.all(bounds.box_upper >= bounds.upper)
-
-
-# ---------------------------------------------------------------------------
 # Random spec generator
 # ---------------------------------------------------------------------------
 
@@ -408,12 +301,10 @@ def test_spec_from_dict_rejects_unknown_kinds():
         spec_from_dict({"budgets": [1.0], "valuation": {"kind": "mystery"}})
 
 
-def test_market_csv_round_trip(tmp_path, make_market):
-    m = make_market(3, 7, seed=1)
-    path = str(tmp_path / "market.csv")
-    market_to_csv(m, path)
-    with open(path) as fh:
-        header = fh.readline().strip()
-    assert header == "item,buyer1,buyer2,buyer3"
-    back = market_from_csv(path, budgets=m.budgets)
-    assert np.array_equal(back.V, m.V)
+def test_every_module_all_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # "from fisher_infer.<module> import *"
+    for info in pkgutil.iter_modules(fisher_infer.__path__):
+        module = importlib.import_module(f"fisher_infer.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ lists missing {name}"
