@@ -16,6 +16,14 @@ the quasilinear variant).  The Hessian at a point with a clean winner
 structure picks up, per interior breakpoint, a rank-one term from the
 breakpoint shifting as multipliers move; that term plus Diag(b/beta^2)
 also feeds the asymptotic covariances of the sampled-market estimators.
+
+The solve starts from the ordered-partition solution: with slopes
+increasing in the buyer index, buyer i wins the i-th envelope segment,
+and Newton's method on the n - 1 breakpoints (a tridiagonal system)
+finds the multipliers that make those segments consistent.  Damped dual
+Newton steps then run until the gradient certificate holds; from this
+start that takes none or a few.  Where that solution has a multiplier
+above the quasilinear cap, the solve starts from b_i / mean(v_i).
 """
 
 from __future__ import annotations
@@ -298,6 +306,88 @@ def _descent_step(spec, beta, g, cap, frozen):
     return beta
 
 
+def _solve_tridiagonal(diag, off, rhs):
+    """Solve the symmetric tridiagonal system with diagonal diag and
+    off-diagonal off by elimination without pivoting.
+
+    Stable for the Jacobian of _partition_start: its diagonal is negative,
+    its off-diagonal nonnegative, and each |diagonal| exceeds its row's
+    off-diagonal sum by sum_j beta_j c_j^2 w_j / (2 vbar_j) over the two
+    segments j next to the breakpoint (w_j their widths, vbar_j the mean
+    of v_j on them), which holds because v_j is linear.
+    """
+    diag, off, x = diag.tolist(), off.tolist(), rhs.tolist()
+    for k in range(1, len(x)):
+        w = off[k - 1] / diag[k - 1]
+        diag[k] -= w * off[k - 1]
+        x[k] -= w * x[k - 1]
+    x[-1] /= diag[-1]
+    for k in range(len(x) - 2, -1, -1):
+        x[k] = (x[k] - off[k] * x[k + 1]) / diag[k]
+    return np.array(x)
+
+
+def _partition_start(spec, cap):
+    """Start of the long-run solve: the ordered-partition solution.
+
+    Buyer i wins [a_{i-1}, a_i] (a_0 = 0, a_n = 1), so u_i = integral of
+    v_i there and beta_i = b_i / u_i, and the scaled lines of neighbours
+    meet at the breakpoints: F_i = beta_i v_i(a_i) - beta_{i+1}
+    v_{i+1}(a_i) = 0.  F_i involves a_{i-1}, a_i and a_{i+1} only, so
+    the Jacobian is tridiagonal.  Damped Newton from a_i = i/n with
+    backtracking on max|F| that keeps the a_i strictly increasing; it
+    stops when no step lowers max|F|.  Returns beta, or b / mean(v)
+    (capped) for one buyer, for slopes that are not strictly increasing
+    (no ordered partition), for a zero pivot, when max|F| ends above
+    1e-9 times the largest bid, and when some beta_i exceeds the cap
+    (the uncapped solution then says little about the capped one).
+    """
+    val, b, n = spec.valuation, spec.budgets, spec.n
+    fallback = np.minimum(b / val.means(), cap)
+    c, d = val.c, val.d
+    if n == 1 or not np.all(np.diff(c) > 0):
+        return fallback
+
+    def state(a):
+        edges = np.concatenate(([0.0], a, [1.0]))
+        u = _int_lin(c, d, edges[:-1], edges[1:])
+        beta = b / u
+        v_lo, v_hi = c * edges[:-1] + d, c * edges[1:] + d  # v_i at a_{i-1}, a_i
+        F = beta[:-1] * v_hi[:-1] - beta[1:] * v_lo[1:]
+        return u, beta, v_lo, v_hi, F
+
+    a = np.arange(1, n) / n
+    u, beta, v_lo, v_hi, F = state(a)
+    res = np.abs(F).max()
+    for _ in range(100):
+        if res == 0.0:
+            break
+        # dbeta_i/da_{i-1} = beta_i v_i(a_{i-1}) / u_i, dbeta_i/da_i = -beta_i v_i(a_i) / u_i
+        r = beta / u
+        diag = (beta[:-1] * c[:-1] - beta[1:] * c[1:]
+                - r[:-1] * v_hi[:-1] ** 2 - r[1:] * v_lo[1:] ** 2)
+        try:
+            step = _solve_tridiagonal(diag, (r * v_lo * v_hi)[1:-1], -F)
+        except ZeroDivisionError:
+            return fallback
+        s = 1.0
+        while s > 1e-10:
+            cand = a + s * step
+            if cand[0] > 0.0 and cand[-1] < 1.0 and np.all(np.diff(cand) > 0):
+                new = state(cand)
+                new_res = np.abs(new[-1]).max()
+                if new_res < res:
+                    break
+            s *= 0.5
+        else:
+            break
+        a, (u, beta, v_lo, v_hi, F), res = cand, new, new_res
+    if not (res <= 1e-9 * np.abs(beta * v_hi).max() and np.all(np.isfinite(beta))
+            and np.all((beta > 0) & (beta <= cap))):
+        return fallback
+    return beta
+
+
 def _projected_residual(beta, g, cap):
     """(at_cap, residual) for min H over (0, cap]^n: the residual is |g_i|
     below the cap and max(g_i, 0) at it."""
@@ -310,15 +400,18 @@ def _solve_longrun(spec: LongRunSpec, tol: float, max_iter: int,
     """The one long-run solve body: minimizes H over (0, cap]^n, where
     cap is inf for linear buyers and 1 for quasilinear ones.
 
-    The certificate is the projected gradient norm.  Buyers at the cap
-    keep leftover money delta_i = b_i - beta_i u_i (delta is None for
-    linear buyers).
+    Starts at beta0 (capped) when given, else at _partition_start, and
+    takes damped dual Newton steps from there.  The certificate is the
+    projected gradient norm.  Buyers at the cap keep leftover money
+    delta_i = b_i - beta_i u_i (delta is None for linear buyers).
     """
-    val = _require_linear1d(spec)
+    _require_linear1d(spec)
     _check_normalized(spec, budgets=False)
     b = spec.budgets
-    beta = b / val.means() if beta0 is None else np.asarray(beta0, dtype=float)
-    beta = np.minimum(beta, cap)
+    if beta0 is None:
+        beta = _partition_start(spec, cap)
+    else:
+        beta = np.minimum(np.asarray(beta0, dtype=float), cap)
     if beta.shape != (spec.n,) or np.any(beta <= 0):
         raise ValueError("beta0 must be a positive vector of length n")
 
@@ -357,8 +450,9 @@ def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10,
 
     Requires a normalized spec (unit-mean values, unit total budget)
     with strictly decreasing value intercepts, so that at the optimum
-    buyer i wins exactly the i-th envelope segment.  beta0 overrides the
-    default warm start b_i / mean(v_i).
+    buyer i wins exactly the i-th envelope segment.  The default start
+    solves for that ordered partition directly (b_i / mean(v_i) if it
+    cannot); beta0 overrides it.
     """
     val = _require_linear1d(spec)
     _check_normalized(spec, budgets=True)

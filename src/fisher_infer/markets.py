@@ -242,6 +242,11 @@ def sample_items(spec: LongRunSpec, t: int, seed: int) -> FiniteMarket:
     return FiniteMarket(V=V, budgets=spec.budgets.copy(), seed=seed)
 
 
+# A draw of n sorted slopes on (-1.8, 1.8) has every gap above 1e-3 with
+# probability (1 - (n - 1) 1e-3 / 3.6)^n; past this n it is below 1e-6.
+_RANDOM_SPEC_MAX_N = 220
+
+
 def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongRunSpec:
     """Random normalized 1-D linear-valuation spec for experiments.
 
@@ -249,10 +254,15 @@ def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongR
     minimum separation, intercepts are then pinned by the unit-mean
     constraint d_i = 1 - c_i/2, which keeps every value positive on
     [0, 1] and the intercepts strictly decreasing.  Budgets are uniform
-    around 1/n and renormalized.
+    around 1/n and renormalized.  The slopes are redrawn until they are
+    separated, so n is capped at 220, where a draw still passes with
+    probability 1e-6.
     """
     if n < 1:
         raise ValueError("need at least one buyer")
+    if n > _RANDOM_SPEC_MAX_N:
+        raise ValueError(f"random_linear1d_spec supports at most {_RANDOM_SPEC_MAX_N} "
+                         f"buyers (got {n}): slope draws would almost never be separated")
     gen = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED))
     while True:
         c = np.sort(gen.uniform(-1.8, 1.8, size=n))

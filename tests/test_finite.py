@@ -446,6 +446,37 @@ def test_newton_tail_matches_dense_oracle_tail(case, monkeypatch):
     assert evals < evals_o
 
 
+def test_newton_tail_reuses_no_probe_when_backtracking_runs_out(monkeypatch):
+    # every Armijo probe of the first Newton iteration fails, so the tiny
+    # step it still takes must not hand the last rejected probe on
+    market = _random_market(3, 20, seed=0)
+    V, b = market.V, market.budgets
+    real_value, real_smoothed = finite._smoothed_value, finite._smoothed
+    calls = []
+    inside = [False]
+
+    def value(V, b, beta, mu):
+        out = real_value(V, b, beta, mu)
+        if inside[0] or len(calls) != 1:
+            return out
+        return (np.inf,) + out[1:]  # a line-search probe of the first iteration
+
+    def smoothed(V, b, beta, mu, value=None):
+        calls.append((beta.copy(), mu, value))
+        inside[0] = True
+        try:
+            return real_smoothed(V, b, beta, mu, value)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(finite, "_smoothed_value", value)
+    monkeypatch.setattr(finite, "_smoothed", smoothed)
+    _newton_tail(V, b, b / V.mean(axis=1), DEFAULT_TOL, np.inf)
+    (beta_0, mu_0, _), (beta_1, mu_1, reused) = calls[:2]
+    assert mu_1 == mu_0 and not np.array_equal(beta_1, beta_0)  # same stage, moved
+    assert reused is None
+
+
 def test_two_buyer_solvers_match_grid_search():
     for seed in (1, 2, 3):
         m = _random_market(2, 25, seed)

@@ -1,6 +1,7 @@
 """Long-run equilibria: envelope geometry, exact solve, asymptotic variances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from fisher_infer import longrun
 from fisher_infer.longrun import (
     asymptotic_pack,
     dual_grad_pop,
@@ -281,6 +283,96 @@ def test_eg_and_qeg_agree_bit_for_bit_below_the_cap(n, seed):
     assert np.array_equal(qeg.beta_star, eg.beta_star)
     assert np.array_equal(qeg.u_star, eg.u_star)
     assert (qeg.nsw_star, qeg.rev, qeg.grad_norm) == (eg.nsw_star, eg.rev, eg.grad_norm)
+
+
+# ---------------------------------------------------------------------------
+# Start from the ordered-partition solution
+# ---------------------------------------------------------------------------
+
+
+def _mean_start(spec):
+    return spec.budgets / spec.valuation.means()
+
+
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_partition_start_agrees_with_the_mean_start(n, seed):
+    spec = random_linear1d_spec(n, seed)
+    eq = solve_longrun_eg(spec)
+    assert eq.grad_norm <= 1e-10
+    # the b / mean(v) start is slow and stalls on a few specs (e.g.
+    # (54, 1873025504) stops at 1.5e-9); compare where it certifies
+    try:
+        ref = solve_longrun_eg(spec, beta0=_mean_start(spec))
+    except RuntimeError:
+        return
+    assert np.abs(eq.beta_star - ref.beta_star).max() <= 1e-8 * np.abs(ref.beta_star).max()
+
+
+@pytest.mark.parametrize("n,seed", [(100, s) for s in range(10)] + [(7, 8)])
+def test_specs_that_stalled_from_the_mean_start_certify(n, seed):
+    eq = solve_longrun_eg(random_linear1d_spec(n, seed))
+    assert eq.grad_norm <= 1e-10
+    assert np.array_equal(eq.winners, np.arange(n))
+
+
+def test_partition_start_needs_few_envelopes(monkeypatch):
+    # from b / mean(v) this solve built 3,615 envelopes
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return upper_envelope(*args)
+
+    monkeypatch.setattr(longrun, "upper_envelope", counted)
+    solve_longrun_eg(random_linear1d_spec(50, 0))
+    assert len(calls) <= 20
+
+
+def _same_outcome(solve, spec, **kwargs):
+    """Run solve from the default start and from b / mean(v): both give the
+    same bits or raise the same error."""
+    try:
+        ref = solve(spec, beta0=_mean_start(spec), **kwargs)
+    except RuntimeError as err:
+        with pytest.raises(RuntimeError, match=re.escape(str(err))):
+            solve(spec, **kwargs)
+        return
+    eq = solve(spec, **kwargs)
+    assert np.array_equal(eq.beta_star, ref.beta_star)
+    assert np.array_equal(eq.delta, ref.delta)
+    assert (eq.rev, eq.grad_norm) == (ref.rev, ref.grad_norm)
+
+
+def test_partition_start_falls_back_without_an_ordered_partition():
+    # slopes that do not increase with the index: no buyer order on the
+    # envelope matches the index order, so the solve starts at b / mean(v)
+    increasing_intercepts = _spec([2.0, -2.0], [0.0, 2.0], [0.8, 0.6])
+    equal_lines = _spec([-1.0, -1.0, 1.0], [1.5, 1.5, 0.5], [0.4, 0.3, 0.5])
+    for spec in (increasing_intercepts, equal_lines):
+        _same_outcome(solve_longrun_qeg, spec)
+        _same_outcome(solve_longrun_qeg, spec, max_iter=3)
+
+
+def test_partition_start_falls_back_above_the_cap():
+    # the uncapped partition solution puts buyer 0 above the cap of 1
+    two_lines = _spec([-2.0, 2.0], [2.0, 0.0], [0.8, 0.6])
+    assert longrun._partition_start(two_lines, np.inf)[0] > 1.0
+    base = random_linear1d_spec(5, 0)
+    rich = _spec(base.valuation.c, base.valuation.d, 1.5 * base.budgets)
+    for spec in (two_lines, rich):
+        _same_outcome(solve_longrun_qeg, spec)
+
+
+def test_partition_start_falls_back_when_newton_fails(monkeypatch):
+    def singular(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(longrun, "_solve_tridiagonal", singular)
+    for n, seed in ((5, 0), (12, 3)):
+        spec = random_linear1d_spec(n, seed)
+        _same_outcome(solve_longrun_qeg, spec)
+        _same_outcome(solve_longrun_eg, spec)
 
 
 # ---------------------------------------------------------------------------

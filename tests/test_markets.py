@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fisher_infer
+from fisher_infer import markets
 from fisher_infer.markets import (
     FiniteMarket,
     Linear1DValuation,
@@ -263,6 +264,25 @@ def test_random_spec_reproducible():
     b = random_linear1d_spec(4, seed=9)
     assert np.array_equal(a.valuation.c, b.valuation.c)
     assert np.array_equal(a.budgets, b.budgets)
+
+
+def test_random_spec_rejects_an_n_it_cannot_draw(monkeypatch):
+    # past the cap one slope draw is separated with probability below 1e-6,
+    # so the redraw loop would not finish; the error comes before any draw
+    cap = markets._RANDOM_SPEC_MAX_N
+
+    def accept(n):
+        return (1.0 - (n - 1) * 1e-3 / 3.6) ** n
+
+    assert accept(cap) >= 1e-6 > accept(cap + 1)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("slopes drawn for an unsupported n")
+
+    monkeypatch.setattr(markets.np.random, "Philox", no_draws)
+    for n in (cap + 1, 300):
+        with pytest.raises(ValueError, match=f"at most {cap} buyers"):
+            random_linear1d_spec(n, 0)
 
 
 # ---------------------------------------------------------------------------
