@@ -16,7 +16,10 @@ Three routes to the dual minimizer are provided and cross-checked:
 All routes finish with an exact pattern solve: near the optimum the items
 whose top bids tie link buyers into a forest, and on the manifold where
 those bids are exactly equal the piecewise-linear part of the dual is
-linear in exp of one free log-multiplier per tree.  The constrained
+linear in exp of one free log-multiplier per tree.  Each tied item links
+every other winner i to its lowest-index winner i0 by an edge
+(i, tau, i0); edges are listed item-major, and the tie forest and the
+tied split read the same list.  The constrained
 minimizer is then closed form, tied supply is split by a small linear
 solve, and the result is certified by the duality gap, which comes out
 at float precision when the detected pattern is correct.
@@ -28,7 +31,6 @@ quasilinear buyers and inf for linear ones, so one code path serves both.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,10 @@ DEFAULT_MAX_ITER = 200_000
 
 # PR iterations between exact-pattern polish attempts.
 POLISH_EVERY = 100
+# Largest log-gaps in the bid margins that a polish probes as tie thresholds.
+POLISH_GAPS = 12
+# Smoothing temperature from which the Newton tail polishes at every stage.
+POLISH_FROM_MU = 1e-5
 # PR iterations before escalating to the smoothed Newton tail.
 ESCALATE_AFTER = 4_000
 # Subgradient warmup iterations before the Newton tail.
@@ -112,15 +118,14 @@ def _gap(V, b, beta, u, delta):
 # ---------------------------------------------------------------------------
 
 
-def _candidate_rtols(V, beta, cap=12):
+def _candidate_rtols(bids, top):
     """Tie thresholds to try, placed in the largest log-gaps of bid margins.
 
     Margins of truly tied items shrink as beta approaches the optimum
     while strict margins stabilize, so some multiplicative gap in the
-    sorted margin sequence separates them; we probe all big gaps.
+    sorted margin sequence separates them; we probe the POLISH_GAPS
+    largest gaps.
     """
-    bids = beta[:, None] * V
-    top = bids.max(axis=0)
     rel = (top[None, :] - bids) / np.where(top > 0, top, 1.0)[None, :]
     rel = rel[:, top > 0]
     vals = np.unique(rel[(rel > 1e-15) & (rel < 0.05)])
@@ -129,145 +134,139 @@ def _candidate_rtols(V, beta, cap=12):
     if len(vals) == 1:
         return [float(vals[0]) * 0.5, float(vals[0]) * 2.0]
     logs = np.log(vals)
-    order = np.argsort(-np.diff(logs))[:cap]
+    order = np.argsort(-np.diff(logs))[:POLISH_GAPS]
     cands = [float(np.exp(0.5 * (logs[g] + logs[g + 1]))) for g in order]
     cands.append(float(vals[0]) * 0.5)
     return cands
 
 
-def _tie_forest(V, winmask, tied_items):
+def _tie_forest(V, i, tau, i0):
     """Offsets of log-multipliers along the tie forest.
 
-    Returns (comp, off, ok): component id and log offset per buyer.
-    Tied item tau with winner set W forces log beta_i - log beta_j =
-    log V[j,tau] - log V[i,tau] for i, j in W; edges beyond a spanning
-    forest must be consistent with the tree offsets or the pattern is
-    rejected.
+    Returns (comp, off), component id and log offset per buyer, or None.
+    Edge k ties buyer i[k] to i0[k], the lowest-index winner of item
+    tau[k]: log beta_i - log beta_i0 = log V[i0,tau] - log V[i,tau].
+    Edges are item-major; in that order each edge that joins two trees
+    enters the forest, and every other edge must be consistent with the
+    tree offsets or the pattern is rejected.
     """
     n = V.shape[0]
-    parent = np.arange(n)
+    vi, v0 = V[i, tau], V[i0, tau]
+    if np.any(vi <= 0) or np.any(v0 <= 0):
+        return None
+    r = np.log(v0) - np.log(vi)
+    parent = list(range(n))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    edges = []
-    for tau in tied_items:
-        wins = np.flatnonzero(winmask[:, tau])
-        i0 = wins[0]
-        for i in wins[1:]:
-            if V[i, tau] <= 0 or V[i0, tau] <= 0:
-                return None, None, False
-            edges.append((int(i), int(i0), float(np.log(V[i0, tau]) - np.log(V[i, tau]))))
-    adj = defaultdict(list)
-    extra = []
-    for i, j, r in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            adj[i].append((j, r))
-            adj[j].append((i, -r))
-        else:
-            extra.append((i, j, r))
+    # a repeated buyer pair never joins two trees, so only first ones can
+    _, first = np.unique(i * n + i0, return_index=True)
+    tree = np.zeros(len(r), dtype=bool)
+    adj = [[] for _ in range(n)]
+    for k in np.sort(first).tolist():
+        a, c = int(i[k]), int(i0[k])
+        ra, rc = find(a), find(c)
+        if ra != rc:
+            parent[ra] = rc
+            tree[k] = True
+            adj[a].append((c, float(r[k])))
+            adj[c].append((a, -float(r[k])))
     comp = np.full(n, -1)
     off = np.zeros(n)
     ncomp = 0
-    for i in range(n):
-        if comp[i] >= 0:
+    for root in range(n):
+        if comp[root] >= 0:
             continue
-        comp[i] = ncomp
-        off[i] = 0.0
-        stack = [i]
+        comp[root] = ncomp
+        stack = [root]
         while stack:
             a = stack.pop()
-            for v, r in adj[a]:
+            for v, rv in adj[a]:
                 if comp[v] < 0:
                     comp[v] = ncomp
-                    # stored relation is z_a - z_v = r
-                    off[v] = off[a] - r
+                    # stored relation is z_a - z_v = rv
+                    off[v] = off[a] - rv
                     stack.append(v)
         ncomp += 1
-    for i, j, r in extra:
-        if abs((off[i] - off[j]) - r) > 1e-9:
-            return None, None, False
-    return comp, off, True
+    extra = ~tree
+    if np.any(np.abs((off[i[extra]] - off[i0[extra]]) - r[extra]) > 1e-9):
+        return None
+    return comp, off
 
 
-def _split_tied_supply(V, winmask, tied_items, targets, s, capped):
-    """Solve for tied-item fractions so each buyer hits its utility target.
+def _split_tied_supply(V, i, tau, i0, tied_items, ref, targets, s, capped, X):
+    """Split tied supply so each buyer hits its utility target, into X.
 
     targets[i] is the utility buyer i still needs from tied items; rows
     of buyers at the cap (their slack absorbs the residual) are
-    dropped.  Returns the fraction assignment or None if the linear
-    system is inconsistent or leaves the per-item simplex.
+    dropped.  Edge k gives buyer i[k] a share of item tau[k]; the rest
+    of tied item tied_items[j] goes to its lowest-index winner ref[j].
+    Writes the tied columns of X and returns False if the linear system
+    is inconsistent or leaves the per-item simplex.
     """
-    n = V.shape[0]
-    cols = []
-    for tau in tied_items:
-        wins = np.flatnonzero(winmask[:, tau])
-        for i in wins[1:]:
-            cols.append((int(i), int(tau), int(wins[0])))
     d = targets.copy()
-    for tau in tied_items:
-        i0 = int(winmask[:, tau].argmax())
-        d[i0] -= V[i0, tau] * s
-    A = np.zeros((n, len(cols)))
-    for k, (i, tau, i0) in enumerate(cols):
-        A[i, k] = V[i, tau]
-        A[i0, k] = -V[i0, tau]
+    np.subtract.at(d, ref, V[ref, tied_items] * s)
+    A = np.zeros((V.shape[0], len(i)))
+    k = np.arange(len(i))
+    A[i, k] = V[i, tau]
+    A[i0, k] = -V[i0, tau]
     keep = ~capped
     sol, *_ = np.linalg.lstsq(A[keep], d[keep], rcond=None)
     # with every buyer at the cap no utility row is left to check
     if keep.any() and sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
-        return None
+        return False
     if np.any(sol < -1e-9) or np.any(sol > s * (1 + 1e-6)):
-        return None
-    frac = {}
-    taken = defaultdict(float)
-    for k, (i, tau, i0) in enumerate(cols):
-        val = float(np.clip(sol[k], 0.0, s))
-        frac[(i, tau)] = val
-        taken[tau] += val
-    for tau in tied_items:
-        i0 = int(winmask[:, tau].argmax())
-        rest = s - taken[int(tau)]
-        if rest < -1e-9:
-            return None
-        frac[(i0, int(tau))] = max(rest, 0.0)
-    return frac
+        return False
+    share = np.clip(sol, 0.0, s)
+    taken = np.zeros(V.shape[1])
+    np.add.at(taken, tau, share)
+    rest = s - taken[tied_items]
+    if np.any(rest < -1e-9):
+        return False
+    X[i, tau] = share
+    X[ref, tied_items] = np.maximum(rest, 0.0)
+    return True
 
 
-def _attempt_pattern(V, b, beta, tie_rtol, tol, cap):
-    """Try to read off the exact equilibrium from the tie pattern at beta."""
+def _attempt_pattern(V, b, bids, top, tie_rtol, tol, cap):
+    """Try to read off the exact equilibrium from the tie pattern of bids.
+
+    Bids within tie_rtol of their item's top bid win it.  Tie edges
+    (i, tau, i0) join each other winner i of a tied item tau to its
+    lowest-index winner i0, item-major.
+    """
     n, t = V.shape
     s = 1.0 / t
-    bids = beta[:, None] * V
-    top = bids.max(axis=0)
-    live = top > 0
-    winmask = (bids >= top[None, :] * (1.0 - tie_rtol)) & live[None, :]
+    winmask = (bids >= top[None, :] * (1.0 - tie_rtol)) & (top > 0)[None, :]
     nwin = winmask.sum(axis=0)
-    tied_items = np.flatnonzero((nwin > 1) & live)
-    strict_items = np.flatnonzero((nwin == 1) & live)
+    tied_items = np.flatnonzero(nwin > 1)
+    strict_items = np.flatnonzero(nwin == 1)
+    winner = winmask.argmax(axis=0)
+    k, i = np.nonzero(winmask[:, tied_items].T)
+    tau = tied_items[k]
+    i0 = winner[tau]
+    edge = i != i0
+    i, tau, i0 = i[edge], tau[edge], i0[edge]
 
-    comp, off, ok = _tie_forest(V, winmask, tied_items)
-    if not ok:
+    forest = _tie_forest(V, i, tau, i0)
+    if forest is None:
         return None
+    comp, off = forest
     ncomp = int(comp.max()) + 1
 
-    winner = np.argmax(np.where(winmask, bids, -np.inf), axis=0)
+    ws, wt = winner[strict_items], winner[tied_items]
     wload = np.zeros(n)
-    np.add.at(wload, winner[strict_items], V[winner[strict_items], strict_items] * s)
+    np.add.at(wload, ws, V[ws, strict_items] * s)
 
     # on the tie manifold the max-of-bids part is linear in exp(y_c):
     # sum over items won by component c of V_w * exp(off_w) * exp(y_c) / t
     C = np.zeros(ncomp)
-    np.add.at(C, comp[winner[strict_items]],
-              V[winner[strict_items], strict_items] * np.exp(off[winner[strict_items]]) * s)
-    if len(tied_items):
-        rep = winmask[:, tied_items].argmax(axis=0)
-        np.add.at(C, comp[rep], V[rep, tied_items] * np.exp(off[rep]) * s)
+    np.add.at(C, comp[ws], V[ws, strict_items] * np.exp(off[ws]) * s)
+    np.add.at(C, comp[wt], V[wt, tied_items] * np.exp(off[wt]) * s)
     Bc = np.zeros(ncomp)
     np.add.at(Bc, comp, b)
     if np.any(C <= 0):
@@ -282,23 +281,15 @@ def _attempt_pattern(V, b, beta, tie_rtol, tol, cap):
     # the pattern must still hold at the refit multipliers
     bids2 = beta_new[:, None] * V
     top2 = bids2.max(axis=0)
-    if np.any(bids2[winner[strict_items], strict_items]
-              < top2[strict_items] * (1.0 - 1e-12)):
+    if np.any(bids2[ws, strict_items] < top2[strict_items] * (1.0 - 1e-12)):
         return None
 
     capped = beta_new >= cap - 1e-12
-    targets = b / beta_new - wload
-    if len(tied_items):
-        frac = _split_tied_supply(V, winmask, tied_items, targets, s, capped)
-        if frac is None:
-            return None
-    else:
-        frac = {}
-
     X = np.zeros((n, t))
-    X[winner[strict_items], strict_items] = s
-    for (i, tau), val in frac.items():
-        X[i, tau] = val
+    X[ws, strict_items] = s
+    if len(tied_items) and not _split_tied_supply(
+            V, i, tau, i0, tied_items, wt, b / beta_new - wload, s, capped, X):
+        return None
     u = (V * X).sum(axis=1)
 
     if np.isinf(cap):
@@ -318,8 +309,10 @@ def _attempt_pattern(V, b, beta, tie_rtol, tol, cap):
 
 
 def _polish(V, b, beta, tol, cap):
-    for rtol in _candidate_rtols(V, beta):
-        res = _attempt_pattern(V, b, beta, rtol, tol, cap)
+    bids = beta[:, None] * V
+    top = bids.max(axis=0)
+    for rtol in _candidate_rtols(bids, top):
+        res = _attempt_pattern(V, b, bids, top, rtol, tol, cap)
         if res is not None:
             return res
     return None
@@ -366,7 +359,7 @@ def _smoothed(V, b, beta, mu, value=None):
     return val, g, H
 
 
-def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
+def _newton_tail(V, b, beta, tol, cap):
     """Drive the smoothing temperature down, polishing once bids separate."""
     n = len(b)
     mu = SMOOTH_MU_START
@@ -402,7 +395,7 @@ def _newton_tail(V, b, beta, tol, cap, polish_from=1e-5):
             if np.array_equal(new, beta):
                 break
             beta = new
-        if mu <= polish_from:
+        if mu <= POLISH_FROM_MU:
             res = _polish(V, b, beta, tol, cap)
             if res is not None:
                 return res, beta
@@ -456,7 +449,7 @@ def _run_pr(V, b, tol, max_iter, cap):
 # ---------------------------------------------------------------------------
 
 
-def _subgradient_start(market, cap, iters=SUBGRADIENT_ITERS):
+def _subgradient_start(market, cap):
     """Best point of a decaying-step projected subgradient run."""
     V, b = market.V, market.budgets
     n = V.shape[0]
@@ -468,7 +461,7 @@ def _subgradient_start(market, cap, iters=SUBGRADIENT_ITERS):
     beta = np.clip(b / V.mean(axis=1), lo, hi)
     best, best_val = beta.copy(), _dual(V, b, beta)
     D = float(np.linalg.norm(hi - lo)) or 1.0
-    for k in range(1, iters + 1):
+    for k in range(1, SUBGRADIENT_ITERS + 1):
         g = dual_subgradient_sample(market, beta)
         norm = np.linalg.norm(g)
         if norm == 0:

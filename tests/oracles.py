@@ -4,8 +4,11 @@ Nothing here is imported by the package; tests compare solver output
 against these slower, more literal computations.
 """
 
+from collections import defaultdict
+
 import numpy as np
 
+from fisher_infer.finite import _gap
 from fisher_infer.inference import default_eta
 from fisher_infer.markets import FiniteMarket, dual_value_sample
 
@@ -157,3 +160,220 @@ def smoothed_dense(V, b, beta, mu):
     H = -(SV @ SV.T) / (mu * t)
     H[np.arange(n), np.arange(n)] += (SV * V).sum(axis=1) / (mu * t) + b / beta ** 2
     return val, g, H
+
+
+# The exact-pattern polish as first written, with per-item loops and dicts:
+# the reference for finite._polish and its helpers.
+
+
+def _candidate_rtols(V, beta, cap=12):
+    """Tie thresholds to try, placed in the largest log-gaps of bid margins.
+
+    Margins of truly tied items shrink as beta approaches the optimum
+    while strict margins stabilize, so some multiplicative gap in the
+    sorted margin sequence separates them; we probe all big gaps.
+    """
+    bids = beta[:, None] * V
+    top = bids.max(axis=0)
+    rel = (top[None, :] - bids) / np.where(top > 0, top, 1.0)[None, :]
+    rel = rel[:, top > 0]
+    vals = np.unique(rel[(rel > 1e-15) & (rel < 0.05)])
+    if len(vals) == 0:
+        return [1e-9]
+    if len(vals) == 1:
+        return [float(vals[0]) * 0.5, float(vals[0]) * 2.0]
+    logs = np.log(vals)
+    order = np.argsort(-np.diff(logs))[:cap]
+    cands = [float(np.exp(0.5 * (logs[g] + logs[g + 1]))) for g in order]
+    cands.append(float(vals[0]) * 0.5)
+    return cands
+
+
+def _tie_forest(V, winmask, tied_items):
+    """Offsets of log-multipliers along the tie forest.
+
+    Returns (comp, off, ok): component id and log offset per buyer.
+    Tied item tau with winner set W forces log beta_i - log beta_j =
+    log V[j,tau] - log V[i,tau] for i, j in W; edges beyond a spanning
+    forest must be consistent with the tree offsets or the pattern is
+    rejected.
+    """
+    n = V.shape[0]
+    parent = np.arange(n)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    edges = []
+    for tau in tied_items:
+        wins = np.flatnonzero(winmask[:, tau])
+        i0 = wins[0]
+        for i in wins[1:]:
+            if V[i, tau] <= 0 or V[i0, tau] <= 0:
+                return None, None, False
+            edges.append((int(i), int(i0), float(np.log(V[i0, tau]) - np.log(V[i, tau]))))
+    adj = defaultdict(list)
+    extra = []
+    for i, j, r in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            adj[i].append((j, r))
+            adj[j].append((i, -r))
+        else:
+            extra.append((i, j, r))
+    comp = np.full(n, -1)
+    off = np.zeros(n)
+    ncomp = 0
+    for i in range(n):
+        if comp[i] >= 0:
+            continue
+        comp[i] = ncomp
+        off[i] = 0.0
+        stack = [i]
+        while stack:
+            a = stack.pop()
+            for v, r in adj[a]:
+                if comp[v] < 0:
+                    comp[v] = ncomp
+                    # stored relation is z_a - z_v = r
+                    off[v] = off[a] - r
+                    stack.append(v)
+        ncomp += 1
+    for i, j, r in extra:
+        if abs((off[i] - off[j]) - r) > 1e-9:
+            return None, None, False
+    return comp, off, True
+
+
+def _split_tied_supply(V, winmask, tied_items, targets, s, capped):
+    """Solve for tied-item fractions so each buyer hits its utility target.
+
+    targets[i] is the utility buyer i still needs from tied items; rows
+    of buyers at the cap (their slack absorbs the residual) are
+    dropped.  Returns the fraction assignment or None if the linear
+    system is inconsistent or leaves the per-item simplex.
+    """
+    n = V.shape[0]
+    cols = []
+    for tau in tied_items:
+        wins = np.flatnonzero(winmask[:, tau])
+        for i in wins[1:]:
+            cols.append((int(i), int(tau), int(wins[0])))
+    d = targets.copy()
+    for tau in tied_items:
+        i0 = int(winmask[:, tau].argmax())
+        d[i0] -= V[i0, tau] * s
+    A = np.zeros((n, len(cols)))
+    for k, (i, tau, i0) in enumerate(cols):
+        A[i, k] = V[i, tau]
+        A[i0, k] = -V[i0, tau]
+    keep = ~capped
+    sol, *_ = np.linalg.lstsq(A[keep], d[keep], rcond=None)
+    # with every buyer at the cap no utility row is left to check
+    if keep.any() and sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
+        return None
+    if np.any(sol < -1e-9) or np.any(sol > s * (1 + 1e-6)):
+        return None
+    frac = {}
+    taken = defaultdict(float)
+    for k, (i, tau, i0) in enumerate(cols):
+        val = float(np.clip(sol[k], 0.0, s))
+        frac[(i, tau)] = val
+        taken[tau] += val
+    for tau in tied_items:
+        i0 = int(winmask[:, tau].argmax())
+        rest = s - taken[int(tau)]
+        if rest < -1e-9:
+            return None
+        frac[(i0, int(tau))] = max(rest, 0.0)
+    return frac
+
+
+def _attempt_pattern(V, b, beta, tie_rtol, tol, cap):
+    """Try to read off the exact equilibrium from the tie pattern at beta."""
+    n, t = V.shape
+    s = 1.0 / t
+    bids = beta[:, None] * V
+    top = bids.max(axis=0)
+    live = top > 0
+    winmask = (bids >= top[None, :] * (1.0 - tie_rtol)) & live[None, :]
+    nwin = winmask.sum(axis=0)
+    tied_items = np.flatnonzero((nwin > 1) & live)
+    strict_items = np.flatnonzero((nwin == 1) & live)
+
+    comp, off, ok = _tie_forest(V, winmask, tied_items)
+    if not ok:
+        return None
+    ncomp = int(comp.max()) + 1
+
+    winner = np.argmax(np.where(winmask, bids, -np.inf), axis=0)
+    wload = np.zeros(n)
+    np.add.at(wload, winner[strict_items], V[winner[strict_items], strict_items] * s)
+
+    # on the tie manifold the max-of-bids part is linear in exp(y_c):
+    # sum over items won by component c of V_w * exp(off_w) * exp(y_c) / t
+    C = np.zeros(ncomp)
+    np.add.at(C, comp[winner[strict_items]],
+              V[winner[strict_items], strict_items] * np.exp(off[winner[strict_items]]) * s)
+    if len(tied_items):
+        rep = winmask[:, tied_items].argmax(axis=0)
+        np.add.at(C, comp[rep], V[rep, tied_items] * np.exp(off[rep]) * s)
+    Bc = np.zeros(ncomp)
+    np.add.at(Bc, comp, b)
+    if np.any(C <= 0):
+        return None
+
+    # cap: beta_i = exp(off_i + y_c) <= cap for all i in the component
+    ybar = np.full(ncomp, np.inf)
+    np.minimum.at(ybar, comp, np.log(cap) - off)
+    y = np.minimum(np.log(Bc / C), ybar)
+    beta_new = np.minimum(np.exp(off + y[comp]), cap)
+
+    # the pattern must still hold at the refit multipliers
+    bids2 = beta_new[:, None] * V
+    top2 = bids2.max(axis=0)
+    if np.any(bids2[winner[strict_items], strict_items]
+              < top2[strict_items] * (1.0 - 1e-12)):
+        return None
+
+    capped = beta_new >= cap - 1e-12
+    targets = b / beta_new - wload
+    if len(tied_items):
+        frac = _split_tied_supply(V, winmask, tied_items, targets, s, capped)
+        if frac is None:
+            return None
+    else:
+        frac = {}
+
+    X = np.zeros((n, t))
+    X[winner[strict_items], strict_items] = s
+    for (i, tau), val in frac.items():
+        X[i, tau] = val
+    u = (V * X).sum(axis=1)
+
+    if np.isinf(cap):
+        if np.any(u <= 0):
+            return None
+        delta = None
+    else:
+        # leftover money only where the cap binds
+        delta = b - beta_new * u
+        if np.any(delta < -1e-10) or np.any(delta[~capped] > 1e-9):
+            return None
+        delta = np.maximum(delta, 0.0)
+    gap = _gap(V, b, beta_new, u, delta)
+    if not gap <= tol:
+        return None
+    return beta_new, u, X, delta, float(gap)
+
+
+def _polish(V, b, beta, tol, cap):
+    for rtol in _candidate_rtols(V, beta):
+        res = _attempt_pattern(V, b, beta, rtol, tol, cap)
+        if res is not None:
+            return res
+    return None

@@ -477,6 +477,72 @@ def test_newton_tail_reuses_no_probe_when_backtracking_runs_out(monkeypatch):
     assert reused is None
 
 
+@st.composite
+def polish_cases(draw):
+    """(V, b, beta, cap): a PR-solved market with its multipliers perturbed.
+
+    Small integer values with copied buyers and items give exact ties,
+    items with several winners and cycles of tie edges."""
+    n = draw(st.integers(1, 8))
+    t = draw(st.integers(1, 60))
+    gen = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        V = gen.integers(0, 4, size=(n, t)).astype(float)
+        V[gen.integers(0, n, size=n // 2)] = V[:n // 2]
+        V[:, gen.integers(0, t, size=t // 2)] = V[:, :t // 2]
+    else:
+        V = gen.uniform(0.0, 3.0, size=(n, t))
+        V[gen.random((n, t)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    V[~(V > 0).any(axis=1), 0] = 1.0
+    b = gen.uniform(0.2, 1.0, size=n)
+    b *= draw(st.sampled_from([1.0, 2.0])) / b.sum()
+    cap = draw(st.sampled_from([np.inf, 1.0]))
+    solve = solve_sample_eg if np.isinf(cap) else solve_sample_qeg
+    beta = solve(FiniteMarket(V=V, budgets=b), method="pr", max_iter=2000).beta
+    rel = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    beta = np.minimum(beta * (1.0 + rel * gen.uniform(-1.0, 1.0, size=n)), cap)
+    return V, b, beta, cap
+
+
+def _assert_same_result(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(g, w)
+
+
+@given(case=polish_cases())
+@settings(max_examples=200, deadline=None)
+def test_polish_matches_loop_oracle(case):
+    V, b, beta, cap = case
+    bids = beta[:, None] * V
+    top = bids.max(axis=0)
+    rtols = oracles._candidate_rtols(V, beta)
+    assert finite._candidate_rtols(bids, top) == rtols
+    # every attempt, not only the first one that certifies
+    for rtol in rtols:
+        _assert_same_result(finite._attempt_pattern(V, b, bids, top, rtol, DEFAULT_TOL, cap),
+                            oracles._attempt_pattern(V, b, beta, rtol, DEFAULT_TOL, cap))
+    _assert_same_result(finite._polish(V, b, beta, DEFAULT_TOL, cap),
+                        oracles._polish(V, b, beta, DEFAULT_TOL, cap))
+
+
+@pytest.mark.parametrize("v22", [1.0, 2.0])
+def test_tie_forest_checks_cycle_edges_like_loop_oracle(v22):
+    # items 0, 1, 2 tie buyer pairs (0, 1), (0, 2), (1, 2); the third edge
+    # closes a cycle that agrees with the first two only when v22 = 2
+    V = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, v22]])
+    comp, off, ok = oracles._tie_forest(V, V > 0, np.arange(3))
+    got = finite._tie_forest(V, np.array([1, 2, 2]), np.array([0, 1, 2]), np.array([0, 0, 1]))
+    assert ok == (v22 == 2.0)
+    if ok:
+        assert np.array_equal(got[0], comp) and np.array_equal(got[1], off)
+    else:
+        assert got is None
+
+
 def test_two_buyer_solvers_match_grid_search():
     for seed in (1, 2, 3):
         m = _random_market(2, 25, seed)
