@@ -12,6 +12,10 @@ Three routes to the dual minimizer are provided and cross-checked:
   temperature driven to zero.  The fast route for large markets.  Its
   softmax exponentiates only bids within 746 mu of their item's top bid:
   exp of anything lower is exactly 0.0, so the cut changes no bit.
+  Linear markets whose winners are intervals of sorted items (sampled
+  1-D linear markets) skip the smoothed tail: the ordered-pattern solve
+  finds their exact tie pattern from sorted prefix sums, and the tail
+  runs only where it does not apply or does not certify.
 
 All routes finish with an exact pattern solve: near the optimum the items
 whose top bids tie link buyers into a forest, and on the manifold where
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .longrun import _solve_tridiagonal
 from .markets import FiniteMarket, dual_subgradient_sample
 
 DEFAULT_TOL = 1e-9
@@ -44,15 +49,17 @@ DEFAULT_MAX_ITER = 200_000
 POLISH_EVERY = 100
 # Largest log-gaps in the bid margins that a polish probes as tie thresholds.
 POLISH_GAPS = 12
-# Smoothing temperature from which the Newton tail polishes at every stage.
-POLISH_FROM_MU = 1e-5
+# First stage of SMOOTH_MUS from which the Newton tail polishes at every
+# stage: mu = 1e-7.  Sampled n = 50 markets never certified at 1e-6, and
+# of first stages 1e-5..1e-8 this one solved them fastest.
+POLISH_FROM_STAGE = 6
 # PR iterations before escalating to the smoothed Newton tail.
 ESCALATE_AFTER = 4_000
 # Subgradient warmup iterations before the Newton tail.
 SUBGRADIENT_ITERS = 1_500
-# Smoothing temperatures run from SMOOTH_MU_START down to SMOOTH_MU_STOP.
-SMOOTH_MU_START = 1e-1
-SMOOTH_MU_STOP = 1e-12
+# Smoothing temperatures of the Newton tail stages, 1e-1 down to 1e-12;
+# each is computed from its exponent, so it is exactly its power of ten.
+SMOOTH_MUS = tuple(10.0 ** -k for k in range(1, 13))
 
 
 @dataclass(frozen=True)
@@ -233,15 +240,21 @@ def _split_tied_supply(V, i, tau, i0, tied_items, ref, targets, s, capped, X):
 
 
 def _attempt_pattern(V, b, bids, top, tie_rtol, tol, cap):
-    """Try to read off the exact equilibrium from the tie pattern of bids.
+    """Try to read off the exact equilibrium from the tie pattern of bids:
+    bids within tie_rtol of their item's top bid win it."""
+    winmask = (bids >= top[None, :] * (1.0 - tie_rtol)) & (top > 0)[None, :]
+    return _pattern_solve(V, b, winmask, tol, cap)
 
-    Bids within tie_rtol of their item's top bid win it.  Tie edges
-    (i, tau, i0) join each other winner i of a tied item tau to its
-    lowest-index winner i0, item-major.
+
+def _pattern_solve(V, b, winmask, tol, cap):
+    """The exact equilibrium in which buyer i wins item tau where
+    winmask[i, tau] is set, or None if that pattern does not certify.
+
+    Tie edges (i, tau, i0) join each other winner i of a tied item tau
+    to its lowest-index winner i0, item-major.
     """
     n, t = V.shape
     s = 1.0 / t
-    winmask = (bids >= top[None, :] * (1.0 - tie_rtol)) & (top > 0)[None, :]
     nwin = winmask.sum(axis=0)
     tied_items = np.flatnonzero(nwin > 1)
     strict_items = np.flatnonzero(nwin == 1)
@@ -319,6 +332,190 @@ def _polish(V, b, beta, tol, cap):
 
 
 # ---------------------------------------------------------------------------
+# Ordered pattern: each buyer wins an interval of sorted items
+# ---------------------------------------------------------------------------
+
+
+def _ordered_pattern(V, b, tol):
+    """Exact equilibrium of a linear market whose winners are intervals of
+    sorted items, or None.
+
+    Items are sorted by log V[n-1] - log V[0].  If V is positive and every
+    adjacent log ratio r_i = log V[i+1] - log V[i] is nondecreasing along
+    that order (log-supermodular V, as 1-D linear values with slopes
+    increasing in the buyer index give), then at every beta each buyer
+    wins one interval of items, in buyer order.  Items with equal columns
+    form one block.  Each neighbour pair i, i+1 either ties on one block k
+    (q_i = 2k + 1) or breaks in front of it (q_i = 2k).  _interval_start
+    reads q off a relaxed problem, _interval_search moves it to the exact
+    pattern, and _pattern_solve, the same solve the polish uses, computes
+    and certifies that pattern.
+    """
+    n, t = V.shape
+    if n < 2 or not np.all(V > 0):
+        return None
+    logV = np.log(V)
+    order = np.argsort(logV[-1] - logV[0], kind="stable")
+    R = np.diff(logV[:, order], axis=0)
+    if np.any(np.diff(R, axis=1) < 0):
+        return None
+    Vs = V[:, order]
+    first = np.ones(t, dtype=bool)
+    first[1:] = (Vs[:, 1:] != Vs[:, :-1]).any(axis=0)
+    S = np.flatnonzero(first)  # first sorted item of each block
+    m = np.diff(np.append(S, t))  # items per block
+    Vb = Vs[:, S]
+    # P[i, k]: buyer i's value of the blocks before block k, in items
+    P = np.zeros((n, len(S) + 1))
+    np.cumsum(Vb * m, axis=1, out=P[:, 1:])
+    q = _interval_start(Vb, R[:, S], S, m, P, b)
+    q = None if q is None else _interval_search(Vb, m, P, b, q)
+    if q is None:
+        return None
+    # buyer i wins the sorted items from edge[q_{i-1} // 2] to edge[(q_i + 1) // 2]
+    q = np.concatenate(([0], q, [2 * len(S)]))
+    edge = np.append(S, t)
+    pos = np.arange(t)
+    winmask = np.empty((n, t), dtype=bool)
+    winmask[:, order] = ((pos >= edge[q[:-1] // 2, None])
+                         & (pos < edge[(q[1:] + 1) // 2, None]))
+    return _pattern_solve(V, b, winmask, tol, np.inf)
+
+
+def _interval_start(Vb, Rb, S, m, P, b):
+    """The q of the relaxed ordered problem, or None.
+
+    Buyer i takes the sorted items between positions a_{i-1} < a_i in
+    [0, t] (a_0 = 0, a_n = t), fractions of the end items included, so
+    t u_i = U_i(a_i) - U_i(a_{i-1}) with U_i the prefix sums P
+    interpolated linearly.  Neighbours tie where log beta_i - log
+    beta_{i+1} = r_i(a_i), with r_i interpolated linearly between block
+    midpoints so that the conditions F_i are continuous.  F_i involves
+    a_{i-1}, a_i and a_{i+1} only: damped Newton from a_i = i t / n on a
+    tridiagonal system, as in longrun._partition_start.  Each a_i then
+    becomes a tie on the block that holds it.
+    """
+    n, nb = Vb.shape
+    t = int(m.sum())
+    rows = np.arange(n)
+    mid = S + 0.5 * m
+
+    def state(a):
+        def prefix(x):  # U_i(x) and U_i'(x) at one position per buyer
+            k = np.clip(np.searchsorted(S, x, side="right") - 1, 0, nb - 1)
+            return P[rows, k] + (x - S[k]) * Vb[rows, k], Vb[rows, k]
+
+        ends = np.concatenate(([0.0], a, [float(t)]))
+        U_lo, v_lo = prefix(ends[:-1])
+        U_hi, v_hi = prefix(ends[1:])
+        w = U_hi - U_lo
+        h = np.searchsorted(mid, a)
+        h0, h1 = np.maximum(h - 1, 0), np.minimum(h, nb - 1)
+        span = mid[h1] - mid[h0]
+        r0, r1 = Rb[rows[:-1], h0], Rb[rows[:-1], h1]
+        slope = np.divide(r1 - r0, span, out=np.zeros(n - 1), where=span > 0)
+        z = np.log(b / w)  # log beta up to a common constant
+        return z[:-1] - z[1:] - (r0 + slope * (a - mid[h0])), w, v_lo, v_hi, slope
+
+    a = np.arange(1, n) * (t / n)
+    F, w, v_lo, v_hi, slope = state(a)
+    res = np.abs(F).max()
+    for _ in range(100):
+        diag = -v_hi[:-1] / w[:-1] - v_lo[1:] / w[1:] - slope
+        try:
+            step = _solve_tridiagonal(diag, (v_hi / w)[1:-1], -F, (v_lo / w)[1:-1])
+        except ZeroDivisionError:
+            return None
+        # converged to far below one item (or NaN): the search does the rest
+        if not np.abs(step).max() > 1e-9:
+            break
+        s = 1.0
+        while s > 1e-10:
+            cand = a + s * step
+            if cand[0] > 0.0 and cand[-1] < t and np.all(np.diff(cand) > 0):
+                new = state(cand)
+                new_res = np.abs(new[0]).max()
+                if new_res < res:
+                    break
+            s *= 0.5
+        else:
+            break
+        a, (F, w, v_lo, v_hi, slope), res = cand, new, new_res
+    return 2 * np.clip(np.searchsorted(S, a, side="right") - 1, 0, nb - 1) + 1
+
+
+def _interval_search(Vb, m, P, b, q):
+    """Move the pattern q until it is consistent, or None if a move would
+    leave a buyer without items, the moves cycle or they run past their
+    budget.
+
+    From q, beta follows in closed form: ties chain the log-multipliers
+    of a component of tied neighbours, and one scale per component spends
+    its budgets.  A left-to-right sweep then hands each buyer its items:
+    buyer i needs t b_i / beta_i, and on a tie the share of the block left
+    to buyers <= i must lie in [0, m_k], or the tie moves down (below 0)
+    or up.  A break must leave each side its higher bid, or it moves to a
+    tie on the block that side loses.  Each sweep moves the first pair
+    that is off; a component's scale couples all its pairs, and moving
+    them all at once can cycle.
+    """
+    n, nb = Vb.shape
+    t = int(m.sum())
+    rows = np.arange(n - 1)
+    logVb = np.log(Vb)
+    seen = set()
+    for _ in range(4 * n + 20):
+        if q.tobytes() in seen:
+            return None
+        seen.add(q.tobytes())
+        tie = q % 2 == 1
+        k = q // 2  # the tied block, or the block after the break
+        lo = np.concatenate(([0], (q + 1) // 2))
+        hi = np.concatenate((k, [nb]))
+        W = P[np.arange(n), np.maximum(hi, lo)] - P[np.arange(n), lo]  # strict items
+        # log-multiplier offsets from the first buyer of each component
+        comp = np.concatenate(([0], np.cumsum(~tie)))
+        ratio = np.where(tie, logVb[rows, k] - logVb[rows + 1, k], 0.0)
+        off = np.concatenate(([0.0], np.cumsum(ratio)))
+        off -= off[np.flatnonzero(np.concatenate(([True], ~tie)))][comp]
+        eo = np.exp(off)
+        C = np.bincount(comp, eo * W)
+        # each tied block once, also when three or more buyers share it
+        once = tie & ~np.concatenate(([False], tie[:-1] & (q[1:] == q[:-1])))
+        C += np.bincount(comp[:-1][once], (eo[:-1] * Vb[rows, k] * m[k])[once], len(C))
+        beta = eo * (t * np.bincount(comp, b) / C)[comp]
+        need = t * b / beta
+        left = 0.0  # share of pair i-1's tied block left to buyers <= i-1
+        for i in range(n - 1):
+            ki = k[i]
+            if tie[i]:
+                rem = need[i] - W[i]
+                if i and tie[i - 1]:
+                    if q[i - 1] == q[i]:
+                        rem += Vb[i, ki] * left
+                    else:
+                        rem -= Vb[i, k[i - 1]] * (m[k[i - 1]] - left)
+                left = rem / Vb[i, ki]
+                step = -1 if left < 0 else int(left > m[ki])
+            elif beta[i] * Vb[i, ki - 1] < beta[i + 1] * Vb[i + 1, ki - 1]:  # 1 <= ki < nb
+                step = -1
+            else:
+                step = int(beta[i + 1] * Vb[i + 1, ki] < beta[i] * Vb[i, ki])
+            if step:
+                new = q[i] + step
+                lo_q = q[i - 1] if i else 1
+                hi_q = q[i + 1] if i < n - 2 else 2 * nb - 1
+                # a buyer between two equal q only has items if they tie
+                if not (lo_q <= new <= hi_q and (new % 2 or lo_q < new < hi_q)):
+                    return None
+                q[i] = new
+                break
+        else:
+            return q
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Smoothed dual (softmax) Newton tail
 # ---------------------------------------------------------------------------
 
@@ -362,8 +559,7 @@ def _smoothed(V, b, beta, mu, value=None):
 def _newton_tail(V, b, beta, tol, cap):
     """Drive the smoothing temperature down, polishing once bids separate."""
     n = len(b)
-    mu = SMOOTH_MU_START
-    while mu >= SMOOTH_MU_STOP:
+    for stage, mu in enumerate(SMOOTH_MUS):
         # the accepted line-search probe is the smoothed value at the next beta
         probe = None
         for _ in range(80):
@@ -395,11 +591,10 @@ def _newton_tail(V, b, beta, tol, cap):
             if np.array_equal(new, beta):
                 break
             beta = new
-        if mu <= POLISH_FROM_MU:
+        if stage >= POLISH_FROM_STAGE:
             res = _polish(V, b, beta, tol, cap)
             if res is not None:
                 return res, beta
-        mu *= 0.1
     return None, beta
 
 
@@ -513,9 +708,11 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
             beta0, iters = np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap), 0
         else:
             raise ValueError(f"unknown method {method!r}")
-        res, beta_out = _newton_tail(V, b, beta0, tol, cap)
+        res = _ordered_pattern(V, b, tol) if method == "newton" and np.isinf(cap) else None
         if res is None:
-            res = _best_effort(V, b, beta_out, cap)
+            res, beta_out = _newton_tail(V, b, beta0, tol, cap)
+            if res is None:
+                res = _best_effort(V, b, beta_out, cap)
     beta, u, X, delta, gap = res
     p = (beta[:, None] * V).max(axis=0)
     money = u if delta is None else u + delta
@@ -544,7 +741,11 @@ def solve_sample_eg(
     max_iter : int
         Iteration budget for the PR route.
     method : str
-        "pr" (default), "subgradient", or "newton".
+        "pr" (default), "subgradient", or "newton".  "newton" first tries
+        the ordered-pattern solve, for V > 0 whose items sort so that
+        every buyer wins an interval of them (log-supermodular V, such
+        as sampled 1-D linear markets), and runs the smoothed Newton
+        tail from b / mean(V) when that does not certify.
 
     Returns
     -------

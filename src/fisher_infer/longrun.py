@@ -306,9 +306,9 @@ def _descent_step(spec, beta, g, cap, frozen):
     return beta
 
 
-def _solve_tridiagonal(diag, off, rhs):
-    """Solve the symmetric tridiagonal system with diagonal diag and
-    off-diagonal off by elimination without pivoting.
+def _solve_tridiagonal(diag, off, rhs, lower=None):
+    """Solve the tridiagonal system with diagonal diag, super-diagonal off
+    and sub-diagonal lower (off if None) by elimination without pivoting.
 
     Stable for the Jacobian of _partition_start: its diagonal is negative,
     its off-diagonal nonnegative, and each |diagonal| exceeds its row's
@@ -317,8 +317,9 @@ def _solve_tridiagonal(diag, off, rhs):
     of v_j on them), which holds because v_j is linear.
     """
     diag, off, x = diag.tolist(), off.tolist(), rhs.tolist()
+    lower = off if lower is None else lower.tolist()
     for k in range(1, len(x)):
-        w = off[k - 1] / diag[k - 1]
+        w = lower[k - 1] / diag[k - 1]
         diag[k] -= w * off[k - 1]
         x[k] -= w * x[k - 1]
     x[-1] /= diag[-1]

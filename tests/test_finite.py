@@ -12,8 +12,7 @@ import oracles
 from fisher_infer import finite
 from fisher_infer.finite import (
     DEFAULT_TOL,
-    SMOOTH_MU_START,
-    SMOOTH_MU_STOP,
+    SMOOTH_MUS,
     _newton_tail,
     _smoothed,
     _smoothed_value,
@@ -27,8 +26,10 @@ from fisher_infer.finite import (
 from fisher_infer.markets import (
     FiniteMarket,
     Linear1DValuation,
+    LinearMDValuation,
     LongRunSpec,
     Uniform01Supply,
+    UniformCubeSupply,
     dual_value_sample,
     random_linear1d_spec,
     sample_items,
@@ -330,21 +331,8 @@ def test_smoothed_value_probe_matches_full_evaluation(V):
     n = V.shape[0]
     b = np.full(n, 1.0 / n)
     beta = np.random.default_rng(5).uniform(0.5, 2.0, n)
-    mu = SMOOTH_MU_START
-    while mu >= SMOOTH_MU_STOP:
+    for mu in SMOOTH_MUS:
         assert _smoothed_value(V, b, beta, mu)[0] == _smoothed(V, b, beta, mu)[0]
-        mu *= 0.1
-
-
-def _mu_schedule():
-    mus, mu = [], SMOOTH_MU_START
-    while mu >= SMOOTH_MU_STOP:
-        mus.append(mu)
-        mu *= 0.1
-    return mus
-
-
-MUS = _mu_schedule()
 
 
 @st.composite
@@ -369,7 +357,7 @@ def smoothed_cases(draw):
     if n >= 2 and draw(st.booleans()):
         top = beta[0] * scale
         # the gap a * mu must be resolvable next to top in float
-        mu_band = draw(st.sampled_from([mu for mu in MUS if 1e-12 * top < mu < top / 745]))
+        mu_band = draw(st.sampled_from([mu for mu in SMOOTH_MUS if 1e-12 * top < mu < top / 745]))
         V[:, 0] = 0.0
         V[0, 0] = scale
         V[1, 0] = (top - draw(st.floats(712.0, 740.0)) * mu_band) / beta[1]
@@ -383,7 +371,7 @@ def test_smoothed_matches_dense_oracle(case):
     if mu_band is not None:
         E = smoothed_value_dense(V, b, beta, mu_band)[1]
         assert ((E > 0) & (E < np.finfo(float).tiny)).any()
-    for mu in MUS:
+    for mu in SMOOTH_MUS:
         for got, want in zip(_smoothed_value(V, b, beta, mu),
                              smoothed_value_dense(V, b, beta, mu)):
             assert np.array_equal(got, want)
@@ -541,6 +529,153 @@ def test_tie_forest_checks_cycle_edges_like_loop_oracle(v22):
         assert np.array_equal(got[0], comp) and np.array_equal(got[1], off)
     else:
         assert got is None
+
+
+def _crossing_lines():
+    # v1 = 2 - 2 theta, v2 = 2 theta, equal budgets
+    return LongRunSpec(budgets=np.array([0.5, 0.5]),
+                       valuation=Linear1DValuation(c=np.array([-2.0, 2.0]),
+                                                   d=np.array([2.0, 0.0])),
+                       supply=Uniform01Supply())
+
+
+@st.composite
+def ordered_markets(draw):
+    """Sampled 1-D linear markets: n 1-8 or 50, t 1-300 with t <= n often,
+    the symmetric two-line market, and items copied (equal theta)."""
+    if draw(st.integers(0, 9)) == 0:
+        spec = _crossing_lines()
+    else:
+        spec = random_linear1d_spec(draw(st.sampled_from([*range(1, 9), 50])), draw(seeds))
+    t = draw(st.integers(1, 300) | st.integers(1, spec.n + 1))
+    market = sample_items(spec, t, draw(seeds))
+    if t > 1 and draw(st.booleans()):
+        idx = np.random.default_rng(draw(seeds)).integers(0, t, size=t)
+        market = FiniteMarket(V=market.V[:, idx], budgets=market.budgets)
+    return market
+
+
+def _dense_newton(market):
+    """The Newton route with the ordered-pattern step switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(finite, "_ordered_pattern", lambda V, b, tol: None)
+        return solve_sample_eg(market, method="newton")
+
+
+def _assert_same_equilibrium(got, want):
+    for field in ("beta", "u", "p", "X", "nsw", "certificate"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@given(market=ordered_markets())
+@settings(max_examples=200, deadline=None)
+def test_ordered_pattern_matches_dense_newton(market):
+    dense = _dense_newton(market)
+    if dense.certificate.certified:
+        _assert_same_equilibrium(solve_sample_eg(market, method="newton"), dense)
+        # one buyer is left to the dense tail
+        ordered = finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL)
+        assert (ordered is None) == (market.n == 1)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(finite, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(finite, name, wrapper)
+    return calls
+
+
+def _swapped_buyers():
+    # buyers 1 and 2 of an ordered market swap rows: log V[2] - log V[1]
+    # now decreases along the items
+    m = sample_items(random_linear1d_spec(5, 3), 60, seed=1)
+    order = [0, 2, 1, 3, 4]
+    return FiniteMarket(V=m.V[order], budgets=m.budgets[order])
+
+
+def _zero_value():
+    m = sample_items(random_linear1d_spec(5, 3), 60, seed=1)
+    V = m.V.copy()
+    V[2, 7] = 0.0
+    return FiniteMarket(V=V, budgets=m.budgets)
+
+
+def _linear_md():
+    gen = np.random.default_rng(4)
+    spec = LongRunSpec(budgets=np.full(4, 0.25),
+                       valuation=LinearMDValuation(a=gen.uniform(0.0, 1.0, (4, 10)),
+                                                   c=gen.uniform(0.1, 1.0, 4)),
+                       supply=UniformCubeSupply(dim=10))
+    return sample_items(spec, 80, seed=2)
+
+
+@pytest.mark.parametrize("make", [_swapped_buyers, _zero_value, _linear_md])
+def test_ordered_pattern_guard_falls_back_to_newton_tail(make, monkeypatch):
+    market = make()
+    V, b = market.V, market.budgets
+    assert finite._ordered_pattern(V, b, DEFAULT_TOL) is None
+    tails = _count_calls(monkeypatch, "_newton_tail")
+    eq = solve_sample_eg(market, method="newton")
+    assert len(tails) == 1 and np.array_equal(tails[0][2], b / V.mean(axis=1))
+    assert eq.certificate.certified
+    _assert_same_equilibrium(eq, _dense_newton(market))
+
+
+def test_ordered_pattern_falls_back_when_the_search_fails(monkeypatch):
+    market = sample_items(random_linear1d_spec(8, 1), 100, seed=3)
+    monkeypatch.setattr(finite, "_interval_search", lambda *args: None)
+    tails = _count_calls(monkeypatch, "_newton_tail")
+    eq = solve_sample_eg(market, method="newton")
+    assert len(tails) == 1 and eq.certificate.certified
+    _assert_same_equilibrium(eq, _dense_newton(market))
+
+
+def _copied_items():
+    # 68 items drawn from 68 with repeats: blocks shared by three buyers;
+    # moving every pair that is off at once cycles on this market
+    m = sample_items(random_linear1d_spec(50, 73), 68, seed=73)
+    idx = np.random.default_rng(73).integers(0, 68, size=68)
+    return FiniteMarket(V=m.V[:, idx], budgets=m.budgets)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_items(random_linear1d_spec(50, 0), 250, seed=0),
+    lambda: sample_items(random_linear1d_spec(50, 42), 5000, seed=1),
+    _copied_items,
+])
+def test_ordered_pattern_needs_no_newton_tail(make, monkeypatch):
+    market = make()
+    tails = _count_calls(monkeypatch, "_newton_tail")
+    eq = solve_sample_eg(market, method="newton")
+    assert eq.certificate.certified and not tails
+
+
+def test_newton_tail_polishes_at_exact_powers_of_ten(monkeypatch):
+    market = sample_items(random_linear1d_spec(50, 0), 250, seed=0)
+    V, b = market.V, market.budgets
+    mus, polished = [], []
+    smoothed, polish = finite._smoothed, finite._polish
+
+    def record_mu(V, b, beta, mu, value=None):
+        mus.append(mu)
+        return smoothed(V, b, beta, mu, value)
+
+    def record_polish(*args):
+        polished.append(mus[-1])
+        return polish(*args)
+
+    monkeypatch.setattr(finite, "_smoothed", record_mu)
+    monkeypatch.setattr(finite, "_polish", record_polish)
+    res, _ = _newton_tail(V, b, b / V.mean(axis=1), DEFAULT_TOL, np.inf)
+    assert res is not None
+    assert SMOOTH_MUS == tuple(float(f"1e-{k}") for k in range(1, 13))
+    assert polished == [float(f"1e-{k}") for k in range(7, 7 + len(polished))]
+    assert set(mus) == set(SMOOTH_MUS[:6 + len(polished)])
 
 
 def test_two_buyer_solvers_match_grid_search():
