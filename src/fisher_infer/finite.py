@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .longrun import _solve_tridiagonal
+from .longrun import _breakpoint_newton, _solve_tridiagonal
 from .markets import FiniteMarket, dual_subgradient_sample
 
 DEFAULT_TOL = 1e-9
@@ -50,9 +50,10 @@ POLISH_EVERY = 100
 # Largest log-gaps in the bid margins that a polish probes as tie thresholds.
 POLISH_GAPS = 12
 # First stage of SMOOTH_MUS from which the Newton tail polishes at every
-# stage: mu = 1e-7.  Sampled n = 50 markets never certified at 1e-6, and
-# of first stages 1e-5..1e-8 this one solved them fastest.
-POLISH_FROM_STAGE = 6
+# stage: mu = 1e-6.
+POLISH_FROM_STAGE = 5
+# Largest log-gap between tied bids that a tie pattern accepts.
+TIE_LOG_TOL = 1e-9
 # PR iterations before escalating to the smoothed Newton tail.
 ESCALATE_AFTER = 4_000
 # Subgradient warmup iterations before the Newton tail.
@@ -200,7 +201,7 @@ def _tie_forest(V, i, tau, i0):
                     stack.append(v)
         ncomp += 1
     extra = ~tree
-    if np.any(np.abs((off[i[extra]] - off[i0[extra]]) - r[extra]) > 1e-9):
+    if np.any(np.abs((off[i[extra]] - off[i0[extra]]) - r[extra]) > TIE_LOG_TOL):
         return None
     return comp, off
 
@@ -349,7 +350,8 @@ def _ordered_pattern(V, b, tol):
     (q_i = 2k + 1) or breaks in front of it (q_i = 2k).  _interval_start
     reads q off a relaxed problem, _interval_search moves it to the exact
     pattern, and _pattern_solve, the same solve the polish uses, computes
-    and certifies that pattern.
+    and certifies that pattern, then again with the bids within
+    TIE_LOG_TOL of their item's top tied, if there are more of those.
     """
     n, t = V.shape
     if n < 2 or not np.all(V > 0):
@@ -379,7 +381,17 @@ def _ordered_pattern(V, b, tol):
     winmask = np.empty((n, t), dtype=bool)
     winmask[:, order] = ((pos >= edge[q[:-1] // 2, None])
                          & (pos < edge[(q[1:] + 1) // 2, None]))
-    return _pattern_solve(V, b, winmask, tol, np.inf)
+    res = _pattern_solve(V, b, winmask, tol, np.inf)
+    if res is None:
+        return None
+    # a bid within TIE_LOG_TOL of its item's top passes the tie forest, so
+    # the polish, which reads ties off a smoothed beta, mostly ties it;
+    # tie it here too, so that both paths mostly split such an item alike
+    bids = res[0][:, None] * V
+    near = winmask | (bids >= bids.max(axis=0) * (1.0 - TIE_LOG_TOL))
+    if np.array_equal(near, winmask):
+        return res
+    return _pattern_solve(V, b, near, tol, np.inf) or res
 
 
 def _interval_start(Vb, Rb, S, m, P, b):
@@ -391,9 +403,9 @@ def _interval_start(Vb, Rb, S, m, P, b):
     interpolated linearly.  Neighbours tie where log beta_i - log
     beta_{i+1} = r_i(a_i), with r_i interpolated linearly between block
     midpoints so that the conditions F_i are continuous.  F_i involves
-    a_{i-1}, a_i and a_{i+1} only: damped Newton from a_i = i t / n on a
-    tridiagonal system, as in longrun._partition_start.  Each a_i then
-    becomes a tie on the block that holds it.
+    a_{i-1}, a_i and a_{i+1} only: damped Newton on a tridiagonal
+    system from a_i = i t / n, by the loop longrun._partition_start
+    uses.  Each a_i then becomes a tie on the block that holds it.
     """
     n, nb = Vb.shape
     t = int(m.sum())
@@ -417,30 +429,17 @@ def _interval_start(Vb, Rb, S, m, P, b):
         z = np.log(b / w)  # log beta up to a common constant
         return z[:-1] - z[1:] - (r0 + slope * (a - mid[h0])), w, v_lo, v_hi, slope
 
-    a = np.arange(1, n) * (t / n)
-    F, w, v_lo, v_hi, slope = state(a)
-    res = np.abs(F).max()
-    for _ in range(100):
+    def newton_step(st):
+        F, w, v_lo, v_hi, slope = st
         diag = -v_hi[:-1] / w[:-1] - v_lo[1:] / w[1:] - slope
-        try:
-            step = _solve_tridiagonal(diag, (v_hi / w)[1:-1], -F, (v_lo / w)[1:-1])
-        except ZeroDivisionError:
-            return None
+        step = _solve_tridiagonal(diag, (v_hi / w)[1:-1], -F, (v_lo / w)[1:-1])
         # converged to far below one item (or NaN): the search does the rest
-        if not np.abs(step).max() > 1e-9:
-            break
-        s = 1.0
-        while s > 1e-10:
-            cand = a + s * step
-            if cand[0] > 0.0 and cand[-1] < t and np.all(np.diff(cand) > 0):
-                new = state(cand)
-                new_res = np.abs(new[0]).max()
-                if new_res < res:
-                    break
-            s *= 0.5
-        else:
-            break
-        a, (F, w, v_lo, v_hi, slope), res = cand, new, new_res
+        return step if np.abs(step).max() > 1e-9 else None
+
+    found = _breakpoint_newton(state, newton_step, np.arange(1, n) * (t / n), float(t))
+    if found is None:
+        return None
+    a = found[0]
     return 2 * np.clip(np.searchsorted(S, a, side="right") - 1, 0, nb - 1) + 1
 
 

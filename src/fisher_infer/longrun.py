@@ -314,7 +314,12 @@ def _solve_tridiagonal(diag, off, rhs, lower=None):
     its off-diagonal nonnegative, and each |diagonal| exceeds its row's
     off-diagonal sum by sum_j beta_j c_j^2 w_j / (2 vbar_j) over the two
     segments j next to the breakpoint (w_j their widths, vbar_j the mean
-    of v_j on them), which holds because v_j is linear.
+    of v_j on them), which holds because v_j is linear.  Stable for the
+    Jacobian of finite._interval_start too: it is column diagonally
+    dominant, each |diagonal| exceeding its column's off-diagonal sum by
+    the slope of the interpolated log ratio, which is >= 0 because
+    finite._ordered_pattern only admits log ratios nondecreasing along
+    the sorted items.
     """
     diag, off, x = diag.tolist(), off.tolist(), rhs.tolist()
     lower = off if lower is None else lower.tolist()
@@ -328,6 +333,40 @@ def _solve_tridiagonal(diag, off, rhs, lower=None):
     return np.array(x)
 
 
+def _breakpoint_newton(state, newton_step, a, hi):
+    """Damped Newton on breakpoints 0 < a_1 < ... < a_{n-1} < hi.
+
+    state(a) is a tuple whose first entry is the residual vector F;
+    newton_step(state(a)) is the Newton step, or None to stop there.
+    Each step backtracks by halving from s = 1 down to 1e-10 and takes
+    the first point that keeps the breakpoints strictly increasing
+    inside (0, hi) and lowers max|F|; the loop stops when none does, or
+    after 100 steps.  Returns (a, state(a)), or None on a zero pivot.
+    """
+    st = state(a)
+    res = np.abs(st[0]).max()
+    for _ in range(100):
+        try:
+            step = newton_step(st)
+        except ZeroDivisionError:
+            return None
+        if step is None:
+            break
+        s = 1.0
+        while s > 1e-10:
+            cand = a + s * step
+            if cand[0] > 0.0 and cand[-1] < hi and np.all(np.diff(cand) > 0):
+                new = state(cand)
+                new_res = np.abs(new[0]).max()
+                if new_res < res:
+                    break
+            s *= 0.5
+        else:
+            break
+        a, st, res = cand, new, new_res
+    return a, st
+
+
 def _partition_start(spec, cap):
     """Start of the long-run solve: the ordered-partition solution.
 
@@ -335,11 +374,10 @@ def _partition_start(spec, cap):
     v_i there and beta_i = b_i / u_i, and the scaled lines of neighbours
     meet at the breakpoints: F_i = beta_i v_i(a_i) - beta_{i+1}
     v_{i+1}(a_i) = 0.  F_i involves a_{i-1}, a_i and a_{i+1} only, so
-    the Jacobian is tridiagonal.  Damped Newton from a_i = i/n with
-    backtracking on max|F| that keeps the a_i strictly increasing; it
-    stops when no step lowers max|F|.  Returns beta, or b / mean(v)
-    (capped) for one buyer, for slopes that are not strictly increasing
-    (no ordered partition), for a zero pivot, when max|F| ends above
+    the Jacobian is tridiagonal.  _breakpoint_newton runs damped Newton
+    from a_i = i/n.  Returns beta, or b / mean(v) (capped) for one
+    buyer, for slopes that are not strictly increasing (no ordered
+    partition), for a zero pivot, when max|F| ends above
     1e-9 times the largest bid, and when some beta_i exceeds the cap
     (the uncapped solution then says little about the capped one).
     """
@@ -355,35 +393,23 @@ def _partition_start(spec, cap):
         beta = b / u
         v_lo, v_hi = c * edges[:-1] + d, c * edges[1:] + d  # v_i at a_{i-1}, a_i
         F = beta[:-1] * v_hi[:-1] - beta[1:] * v_lo[1:]
-        return u, beta, v_lo, v_hi, F
+        return F, u, beta, v_lo, v_hi
 
-    a = np.arange(1, n) / n
-    u, beta, v_lo, v_hi, F = state(a)
-    res = np.abs(F).max()
-    for _ in range(100):
-        if res == 0.0:
-            break
+    def newton_step(st):
+        F, u, beta, v_lo, v_hi = st
+        if np.abs(F).max() == 0.0:
+            return None
         # dbeta_i/da_{i-1} = beta_i v_i(a_{i-1}) / u_i, dbeta_i/da_i = -beta_i v_i(a_i) / u_i
         r = beta / u
         diag = (beta[:-1] * c[:-1] - beta[1:] * c[1:]
                 - r[:-1] * v_hi[:-1] ** 2 - r[1:] * v_lo[1:] ** 2)
-        try:
-            step = _solve_tridiagonal(diag, (r * v_lo * v_hi)[1:-1], -F)
-        except ZeroDivisionError:
-            return fallback
-        s = 1.0
-        while s > 1e-10:
-            cand = a + s * step
-            if cand[0] > 0.0 and cand[-1] < 1.0 and np.all(np.diff(cand) > 0):
-                new = state(cand)
-                new_res = np.abs(new[-1]).max()
-                if new_res < res:
-                    break
-            s *= 0.5
-        else:
-            break
-        a, (u, beta, v_lo, v_hi, F), res = cand, new, new_res
-    if not (res <= 1e-9 * np.abs(beta * v_hi).max() and np.all(np.isfinite(beta))
+        return _solve_tridiagonal(diag, (r * v_lo * v_hi)[1:-1], -F)
+
+    found = _breakpoint_newton(state, newton_step, np.arange(1, n) / n, 1.0)
+    if found is None:
+        return fallback
+    F, _, beta, _, v_hi = found[1]
+    if not (np.abs(F).max() <= 1e-9 * np.abs(beta * v_hi).max() and np.all(np.isfinite(beta))
             and np.all((beta > 0) & (beta <= cap))):
         return fallback
     return beta
