@@ -404,7 +404,7 @@ def _interval_start(Vb, Rb, S, m, P, b):
     beta_{i+1} = r_i(a_i), with r_i interpolated linearly between block
     midpoints so that the conditions F_i are continuous.  F_i involves
     a_{i-1}, a_i and a_{i+1} only: damped Newton on a tridiagonal
-    system from a_i = i t / n, by the loop longrun._partition_start
+    system from a_i = i t / n, by the loop longrun._pinned_partition
     uses.  Each a_i then becomes a tie on the block that holds it.
     """
     n, nb = Vb.shape
@@ -455,7 +455,8 @@ def _interval_search(Vb, m, P, b, q):
     to buyers <= i must lie in [0, m_k], or the tie moves down (below 0)
     or up.  A break must leave each side its higher bid, or it moves to a
     tie on the block that side loses.  Each sweep moves the first pair
-    that is off; a component's scale couples all its pairs, and moving
+    that is off (the far end of its run of equal q, in the direction of
+    the move); a component's scale couples all its pairs, and moving
     them all at once can cycle.
     """
     n, nb = Vb.shape
@@ -501,6 +502,9 @@ def _interval_search(Vb, m, P, b, q):
             else:
                 step = int(beta[i + 1] * Vb[i + 1, ki] < beta[i] * Vb[i, ki])
             if step:
+                # a run of pairs with equal q blocks the move: its far end moves
+                while 0 <= i + step <= n - 2 and q[i + step] == q[i]:
+                    i += step
                 new = q[i] + step
                 lo_q = q[i - 1] if i else 1
                 hi_q = q[i + 1] if i < n - 2 else 2 * nb - 1

@@ -17,13 +17,12 @@ structure picks up, per interior breakpoint, a rank-one term from the
 breakpoint shifting as multipliers move; that term plus Diag(b/beta^2)
 also feeds the asymptotic covariances of the sampled-market estimators.
 
-The solve starts from the ordered-partition solution: with slopes
-increasing in the buyer index, buyer i wins the i-th envelope segment,
-and Newton's method on the n - 1 breakpoints (a tridiagonal system)
-finds the multipliers that make those segments consistent.  Damped dual
-Newton steps then run until the gradient certificate holds; from this
-start that takes none or a few.  Where that solution has a multiplier
-above the quasilinear cap, the solve starts from b_i / mean(v_i).
+The solve is the ordered partition: in slope order buyer i wins the
+i-th envelope segment, found by Newton's method on the n - 1 breakpoints
+(a tridiagonal system).  Buyers at the quasilinear cap form one block
+whose ends meet at theta = 1/2, where all unit-mean lines cross.  At most
+three dual Newton steps polish off the rounding; the certificate is the
+(projected) gradient norm.
 """
 
 from __future__ import annotations
@@ -146,22 +145,14 @@ def dual_value_pop(spec: LongRunSpec, beta) -> float:
     return float(integral - (spec.budgets * np.log(beta)).sum())
 
 
-def dual_grad_pop(spec: LongRunSpec, beta, return_tied: bool = False):
+def dual_grad_pop(spec: LongRunSpec, beta):
     """Gradient of H: winning-value integral minus b_i/beta_i per buyer.
 
     Where two scaled lines coincide (a positive-length tie) the envelope
-    keeps the lowest index, making this the matching subgradient; pass
-    return_tied=True to also learn whether that happened.
+    keeps the lowest index, making this the matching subgradient.
     """
-    val = _require_linear1d(spec)
     beta = np.asarray(beta, dtype=float)
-    g = _utilities_from_envelope(spec, _scaled_envelope(spec, beta)) - spec.budgets / beta
-    if return_tied:
-        scaled = np.stack([beta * val.c, beta * val.d], axis=1)
-        srt = scaled[np.lexsort((scaled[:, 1], scaled[:, 0]))]
-        tied = bool(np.any(np.all(srt[1:] == srt[:-1], axis=1)))
-        return g, tied
-    return g
+    return _utilities_from_envelope(spec, _scaled_envelope(spec, beta)) - spec.budgets / beta
 
 
 def _utilities_from_envelope(spec, env):
@@ -178,55 +169,48 @@ def _utilities_from_envelope(spec, env):
 # ---------------------------------------------------------------------------
 
 
+def _winner_hessian(spec, beta, env):
+    """(diagonal, off-diagonal) of the tridiagonal Hessian of H at beta
+    over the winners of env, in envelope order: b_w / beta_w^2 on the
+    diagonal, plus at each breakpoint a between winners w and w' (left,
+    right) the rank-one block [[-v_w^2, v_w v_w'], [v_w v_w', -v_w'^2]] / D
+    at a, D = beta_w c_w - beta_w' c_w' < 0, from moving that boundary.
+    """
+    val, w, a = spec.valuation, env.winners, env.breakpoints[1:-1]
+    v_l = val.c[w[:-1]] * a + val.d[w[:-1]]
+    v_r = val.c[w[1:]] * a + val.d[w[1:]]
+    D = env.slopes[:-1] - env.slopes[1:]
+    diag = spec.budgets[w] / beta[w] ** 2
+    diag[1:] -= v_r * v_r / D
+    diag[:-1] -= v_l * v_l / D
+    return diag, v_l * v_r / D
+
+
 def hessian_longrun_linear(spec: LongRunSpec, beta) -> np.ndarray:
-    """Hessian of H at beta when the winner structure is nondegenerate.
-
-    Each interior breakpoint a between adjacent winners w (left) and w'
-    (right) contributes the rank-one block
-
-        [[-v_w(a)^2,        v_w(a) v_{w'}(a)],
-         [ v_w(a) v_{w'}(a), -v_{w'}(a)^2   ]] / D,
-
-    D = beta_w c_w - beta_{w'} c_{w'} < 0, from differentiating the
-    winning-set boundary; Diag(b_i / beta_i^2) is added on top.
-
-    Raises ValueError when three lines meet at an interior breakpoint or
-    a winner change sits exactly on an endpoint of [0, 1]: the Hessian
-    does not exist there.
+    """Hessian of H at beta: _winner_hessian on the winners, b / beta^2
+    on the other diagonal entries.  Raises ValueError when three lines
+    meet at an interior breakpoint or a winner change sits exactly on an
+    endpoint of [0, 1]: the Hessian does not exist there.
     """
     val = _require_linear1d(spec)
     beta = np.asarray(beta, dtype=float)
     env = _scaled_envelope(spec, beta)
-    n = spec.n
     ms, qs = beta * val.c, beta * val.d
-
-    def bids_at(theta):
-        return ms * theta + qs
-
     scale = max(float(np.abs(qs).max()), float(np.abs(ms + qs).max()), 1.0)
     for theta in (0.0, 1.0):
-        bids = bids_at(theta)
+        bids = ms * theta + qs
         if (bids >= bids.max() - 1e-12 * scale).sum() > 1:
             raise ValueError("winner change at a domain endpoint, Hessian undefined")
-
-    H = np.diag(spec.budgets / beta ** 2)
-    for k in range(1, len(env.breakpoints) - 1):
-        a = env.breakpoints[k]
-        w, wp = int(env.winners[k - 1]), int(env.winners[k])
-        if w == wp:
-            continue
-        bids = bids_at(a)
+    for a in env.breakpoints[1:-1]:
+        bids = ms * a + qs
         if (bids >= bids.max() - 1e-9 * scale).sum() > 2:
             raise ValueError("three-way tie at an interior breakpoint, Hessian undefined")
-        D = ms[w] - ms[wp]
-        if not D < 0:
-            raise ValueError("breakpoint with non-increasing slope order")
-        vw = val.c[w] * a + val.d[w]
-        vwp = val.c[wp] * a + val.d[wp]
-        H[w, w] += -vw * vw / D
-        H[wp, wp] += -vwp * vwp / D
-        H[w, wp] += vw * vwp / D
-        H[wp, w] += vw * vwp / D
+    w = env.winners
+    diag, off = _winner_hessian(spec, beta, env)
+    H = np.diag(spec.budgets / beta ** 2)
+    H[w, w] = diag
+    H[w[:-1], w[1:]] = off
+    H[w[1:], w[:-1]] = off
     return H
 
 
@@ -277,49 +261,21 @@ def _check_normalized(spec, budgets=True):
         raise ValueError("budgets must sum to 1 (see normalize_spec)")
 
 
-def _descent_step(spec, beta, g, cap, frozen):
-    """One damped step: Newton direction when the Hessian exists, else
-    steepest descent, with backtracking on the dual value.
-
-    Coordinates marked frozen (optimal at the cap) are held fixed, so the
-    Newton system is solved on the free block only; otherwise the cross
-    terms would drag capped coordinates off the boundary.
-    """
-    try:
-        H = hessian_longrun_linear(spec, beta)
-        if frozen.any():
-            free = ~frozen
-            d = np.zeros_like(beta)
-            d[free] = np.linalg.solve(H[np.ix_(free, free)], -g[free])
-        else:
-            d = np.linalg.solve(H, -g)
-    except (ValueError, np.linalg.LinAlgError):
-        d = -g
-    val = dual_value_pop(spec, beta)
-    step = 1.0
-    while step > 1e-16:
-        cand = np.minimum(beta + step * d, cap)
-        if np.all(cand > 0):
-            if dual_value_pop(spec, cand) <= val + 1e-4 * (g @ (cand - beta)):
-                return cand
-        step *= 0.5
-    return beta
-
-
 def _solve_tridiagonal(diag, off, rhs, lower=None):
     """Solve the tridiagonal system with diagonal diag, super-diagonal off
     and sub-diagonal lower (off if None) by elimination without pivoting.
 
-    Stable for the Jacobian of _partition_start: its diagonal is negative,
-    its off-diagonal nonnegative, and each |diagonal| exceeds its row's
-    off-diagonal sum by sum_j beta_j c_j^2 w_j / (2 vbar_j) over the two
-    segments j next to the breakpoint (w_j their widths, vbar_j the mean
-    of v_j on them), which holds because v_j is linear.  Stable for the
-    Jacobian of finite._interval_start too: it is column diagonally
-    dominant, each |diagonal| exceeding its column's off-diagonal sum by
-    the slope of the interpolated log ratio, which is >= 0 because
-    finite._ordered_pattern only admits log ratios nondecreasing along
-    the sorted items.
+    Safe for the Jacobian of _pinned_partition: its off-diagonal is
+    nonnegative, and a row with two free buyers has a negative diagonal
+    exceeding its off-diagonal sum by sum_j beta_j c_j^2 w_j / (2 vbar_j)
+    over the segments j next to the breakpoint (widths w_j, means vbar_j
+    of the linear v_j on them).  A pinned buyer drops its b/u terms from
+    the last row only, so every multiplier is at most 1 in magnitude and
+    only a nearly singular Jacobian gives a small last pivot.  Safe for
+    _newton_polish's Hessian, which is positive definite, and for the
+    Jacobian of finite._interval_start: it is column diagonally dominant
+    by the slope of the interpolated log ratio, >= 0 because
+    finite._ordered_pattern only admits nondecreasing log ratios.
     """
     diag, off, x = diag.tolist(), off.tolist(), rhs.tolist()
     lower = off if lower is None else lower.tolist()
@@ -344,7 +300,7 @@ def _breakpoint_newton(state, newton_step, a, hi):
     after 100 steps.  Returns (a, state(a)), or None on a zero pivot.
     """
     st = state(a)
-    res = np.abs(st[0]).max()
+    res = np.abs(st[0]).max(initial=0.0)
     for _ in range(100):
         try:
             step = newton_step(st)
@@ -367,93 +323,135 @@ def _breakpoint_newton(state, newton_step, a, hi):
     return a, st
 
 
-def _partition_start(spec, cap):
-    """Start of the long-run solve: the ordered-partition solution.
-
-    Buyer i wins [a_{i-1}, a_i] (a_0 = 0, a_n = 1), so u_i = integral of
-    v_i there and beta_i = b_i / u_i, and the scaled lines of neighbours
-    meet at the breakpoints: F_i = beta_i v_i(a_i) - beta_{i+1}
-    v_{i+1}(a_i) = 0.  F_i involves a_{i-1}, a_i and a_{i+1} only, so
-    the Jacobian is tridiagonal.  _breakpoint_newton runs damped Newton
-    from a_i = i/n.  Returns beta, or b / mean(v) (capped) for one
-    buyer, for slopes that are not strictly increasing (no ordered
-    partition), for a zero pivot, when max|F| ends above
-    1e-9 times the largest bid, and when some beta_i exceeds the cap
-    (the uncapped solution then says little about the capped one).
+def _pinned_partition(c, d, b, cap, pinned, a):
+    """Breakpoints of the ordered partition of buyers in slope order, the
+    last held at beta = cap if pinned, by _breakpoint_newton from a; None
+    on a zero pivot.  Buyer i wins [a_{i-1}, a_i] (a_0 = 0, a_n = 1), so
+    beta_i = b_i / u_i with u_i the integral of v_i there (a pinned
+    buyer's is unused), and neighbours' scaled lines meet at the
+    breakpoints: F_i = beta_i v_i(a_i) - beta_{i+1} v_{i+1}(a_i) = 0,
+    with a tridiagonal Jacobian.
     """
-    val, b, n = spec.valuation, spec.budgets, spec.n
-    fallback = np.minimum(b / val.means(), cap)
-    c, d = val.c, val.d
-    if n == 1 or not np.all(np.diff(c) > 0):
-        return fallback
-
     def state(a):
         edges = np.concatenate(([0.0], a, [1.0]))
         u = _int_lin(c, d, edges[:-1], edges[1:])
         beta = b / u
+        r = beta / u  # dbeta_i/da_{i-1} = r_i v_i(a_{i-1}), dbeta_i/da_i = -r_i v_i(a_i)
+        if pinned:
+            beta[-1], r[-1] = cap, 0.0
         v_lo, v_hi = c * edges[:-1] + d, c * edges[1:] + d  # v_i at a_{i-1}, a_i
-        F = beta[:-1] * v_hi[:-1] - beta[1:] * v_lo[1:]
-        return F, u, beta, v_lo, v_hi
+        return beta[:-1] * v_hi[:-1] - beta[1:] * v_lo[1:], beta, r, v_lo, v_hi
 
     def newton_step(st):
-        F, u, beta, v_lo, v_hi = st
-        if np.abs(F).max() == 0.0:
+        F, beta, r, v_lo, v_hi = st
+        if np.abs(F).max(initial=0.0) == 0.0:
             return None
-        # dbeta_i/da_{i-1} = beta_i v_i(a_{i-1}) / u_i, dbeta_i/da_i = -beta_i v_i(a_i) / u_i
-        r = beta / u
         diag = (beta[:-1] * c[:-1] - beta[1:] * c[1:]
                 - r[:-1] * v_hi[:-1] ** 2 - r[1:] * v_lo[1:] ** 2)
         return _solve_tridiagonal(diag, (r * v_lo * v_hi)[1:-1], -F)
 
-    found = _breakpoint_newton(state, newton_step, np.arange(1, n) / n, 1.0)
-    if found is None:
-        return fallback
-    F, _, beta, _, v_hi = found[1]
-    if not (np.abs(F).max() <= 1e-9 * np.abs(beta * v_hi).max() and np.all(np.isfinite(beta))
-            and np.all((beta > 0) & (beta <= cap))):
-        return fallback
-    return beta
+    found = _breakpoint_newton(state, newton_step, a, 1.0)
+    return None if found is None else found[0]
+
+
+def _capped_partition(c, d, b, cap):
+    """Multipliers of buyers in slope order minimizing H over (0, cap]^n,
+    or None on a zero pivot.  Unit-mean lines all pass through (1/2, 1),
+    so buyers at the cap form one block L..R: L wins up to theta = 1/2, R
+    from it, the buyers between nothing.  With beta_L = beta_R = cap held,
+    each side's free breakpoints are an ordered partition of their own,
+    the right one mirrored (theta -> 1 - theta) so its pinned buyer is
+    last.  Once a beta of the plain ordered partition is above the cap,
+    the block starts at the largest (the winner at 1/2), and each end
+    moves out while its free neighbour is above the cap.  It never has to
+    move in: the dual minimized over one side's free buyers is convex in
+    the beta of the buyer that joins, with its minimum above the cap, so
+    at the cap that buyer wins no more than its budget.
+    """
+    n = len(c)
+    a, block = np.arange(1, n) / n, None
+    while True:
+        if block is None:
+            a = _pinned_partition(c, d, b, cap, False, a)
+        else:
+            left = _pinned_partition(c[:L + 1], d[:L + 1], b[:L + 1], cap, True, a[:L])
+            right = _pinned_partition(-c[R:][::-1], (c + d)[R:][::-1], b[R:][::-1], cap, True,
+                                      1.0 - a[R:][::-1])
+            a = (None if left is None or right is None
+                 else np.concatenate((left, np.full(R - L, 0.5), 1.0 - right[::-1])))
+        if a is None:
+            return None
+        edges = np.concatenate(([0.0], a, [1.0]))
+        u = _int_lin(c, d, edges[:-1], edges[1:])
+        if block is None:
+            beta = b / u
+            if not np.any(beta > cap):
+                return beta
+            new = (int(np.argmax(beta)),) * 2
+        else:
+            free = (np.arange(n) < L) | (np.arange(n) > R)
+            beta = np.divide(b, u, out=np.full(n, cap), where=free)
+            new = (L - int(L > 0 and beta[L - 1] > cap), R + int(R < n - 1 and beta[R + 1] > cap))
+            if new == block:
+                return beta
+        block = L, R = new
 
 
 def _projected_residual(beta, g, cap):
-    """(at_cap, residual) for min H over (0, cap]^n: the residual is |g_i|
-    below the cap and max(g_i, 0) at it."""
-    at_cap = beta >= cap - 1e-12
-    return at_cap, np.where(at_cap, np.maximum(g, 0.0), np.abs(g))
+    """Residual of min H over (0, cap]^n: |g_i| below the cap and
+    max(g_i, 0) at it."""
+    return np.where(beta >= cap - 1e-12, np.maximum(g, 0.0), np.abs(g))
 
 
-def _solve_longrun(spec: LongRunSpec, tol: float, max_iter: int,
-                   beta0: np.ndarray | None, cap: float) -> LongRunEquilibrium:
+def _newton_polish(spec, beta, cap, tol):
+    """At most three undamped dual Newton steps on the free winners (a
+    tridiagonal system) until the certificate holds; returns (beta, g).
+    The breakpoints' rounding (u_i moves by ulp(a)/w_i relative) can leave
+    |g| just above tol at a few hundred buyers.
+    """
+    g = dual_grad_pop(spec, beta)
+    for _ in range(3):
+        if _projected_residual(beta, g, cap).max() <= tol:
+            break
+        env = _scaled_envelope(spec, beta)
+        k = np.flatnonzero(beta[env.winners] < cap)
+        if not k.size:
+            break
+        diag, off = _winner_hessian(spec, beta, env)
+        w = env.winners[k]
+        cand = beta.copy()
+        cand[w] = np.minimum(beta[w] + _solve_tridiagonal(
+            diag[k], np.where(np.diff(k) == 1, off[k[:-1]], 0.0), -g[w]), cap)
+        if not np.all(cand > 0):
+            break
+        beta, g = cand, dual_grad_pop(spec, cand)
+    return beta, g
+
+
+def _solve_longrun(spec: LongRunSpec, tol: float, cap: float) -> LongRunEquilibrium:
     """The one long-run solve body: minimizes H over (0, cap]^n, where
     cap is inf for linear buyers and 1 for quasilinear ones.
 
-    Starts at beta0 (capped) when given, else at _partition_start, and
-    takes damped dual Newton steps from there.  The certificate is the
-    projected gradient norm.  Buyers at the cap keep leftover money
-    delta_i = b_i - beta_i u_i (delta is None for linear buyers).
+    Buyers go in (slope, index) order; of identical lines only the first
+    enters _capped_partition, and the rest take its beta: at the cap they
+    win nothing, as the lowest-index envelope has it, and below it they
+    tie and no certificate holds.  The certificate is the projected
+    gradient norm.  Buyers at the cap keep delta_i = b_i - beta_i u_i
+    (None for linear buyers).
     """
-    _require_linear1d(spec)
+    val = _require_linear1d(spec)
     _check_normalized(spec, budgets=False)
     b = spec.budgets
-    if beta0 is None:
-        beta = _partition_start(spec, cap)
-    else:
-        beta = np.minimum(np.asarray(beta0, dtype=float), cap)
-    if beta.shape != (spec.n,) or np.any(beta <= 0):
-        raise ValueError("beta0 must be a positive vector of length n")
-
-    g = dual_grad_pop(spec, beta)
-    for _ in range(max_iter):
-        at_cap, resid = _projected_residual(beta, g, cap)
-        if resid.max() <= tol:
-            break
-        frozen = at_cap & (g < 0)
-        new = _descent_step(spec, beta, np.where(frozen, 0.0, g), cap, frozen)
-        if np.array_equal(new, beta):
-            break
-        beta = new
-        g = dual_grad_pop(spec, beta)
-    grad_norm = float(_projected_residual(beta, g, cap)[1].max())
+    order = np.argsort(val.c, kind="stable")
+    c, d = val.c[order], val.d[order]
+    lead = np.concatenate(([True], (np.diff(c) != 0) | (np.diff(d) != 0)))
+    beta_lead = _capped_partition(c[lead], d[lead], b[order][lead], cap)
+    if beta_lead is None:
+        raise RuntimeError("no certificate: zero pivot in the breakpoint Newton")
+    beta = np.empty(spec.n)
+    beta[order] = beta_lead[np.cumsum(lead) - 1]
+    beta, g = _newton_polish(spec, beta, cap, tol)
+    grad_norm = float(_projected_residual(beta, g, cap).max())
     if grad_norm > tol:
         what = "gradient norm" if np.isinf(cap) else "projected gradient"
         raise RuntimeError(f"no certificate: {what} {grad_norm:.3e} > {tol:.1e}")
@@ -470,37 +468,33 @@ def _solve_longrun(spec: LongRunSpec, tol: float, max_iter: int,
         nsw_star=nsw, rev=rev, grad_norm=grad_norm, delta=delta)
 
 
-def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10,
-                     max_iter: int = 500,
-                     beta0: np.ndarray | None = None) -> LongRunEquilibrium:
+def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10) -> LongRunEquilibrium:
     """Equilibrium of the long-run linear market, certified by gradient norm.
 
     Requires a normalized spec (unit-mean values, unit total budget)
     with strictly decreasing value intercepts, so that at the optimum
-    buyer i wins exactly the i-th envelope segment.  The default start
-    solves for that ordered partition directly (b_i / mean(v_i) if it
-    cannot); beta0 overrides it.
+    buyer i wins exactly the i-th envelope segment: the ordered partition
+    that the solve finds.  RuntimeError if the gradient norm exceeds tol.
     """
     val = _require_linear1d(spec)
     _check_normalized(spec, budgets=True)
     if not np.all(np.diff(val.d) < 0):
         raise ValueError("value intercepts must be strictly decreasing")
-    eq = _solve_longrun(spec, tol, max_iter, beta0, np.inf)
+    eq = _solve_longrun(spec, tol, np.inf)
     if not np.array_equal(eq.winners, np.arange(spec.n)):
         raise RuntimeError("equilibrium winner structure is not the ordered partition")
     return eq
 
 
-def solve_longrun_qeg(spec: LongRunSpec, tol: float = 1e-10,
-                      max_iter: int = 500,
-                      beta0: np.ndarray | None = None) -> LongRunEquilibrium:
+def solve_longrun_qeg(spec: LongRunSpec, tol: float = 1e-10) -> LongRunEquilibrium:
     """Equilibrium of the long-run quasilinear market.
 
-    Minimizes the same dual over (0, 1]^n; buyers pinned at the cap
-    beta_i = 1 keep leftover money delta_i = b_i - beta_i u_i, and the
-    seller collects rev = integral of the price curve.
+    Minimizes the same dual over (0, 1]^n (unit-mean values); buyers at
+    the cap beta_i = 1 keep leftover money delta_i = b_i - beta_i u_i, and
+    the seller collects rev = integral of the price curve.  RuntimeError
+    if the projected gradient exceeds tol.
     """
-    return _solve_longrun(spec, tol, max_iter, beta0, 1.0)
+    return _solve_longrun(spec, tol, 1.0)
 
 
 # ---------------------------------------------------------------------------

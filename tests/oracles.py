@@ -98,6 +98,49 @@ def grid_min_longrun(spec, step=1e-6, box=None):
     return grid_minimize(fun, lo=lo, hi=hi, step=step, pts=41)
 
 
+def descent_longrun(spec, cap, beta0, tol=1e-10, max_iter=500):
+    """Minimize the population dual over (0, cap]^n by damped dual Newton
+    steps from beta0 (capped): the loop the long-run solve ran before it
+    solved the capped ordered partition directly.
+
+    Each step takes the Newton direction on the buyers not optimal at the
+    cap when the analytic Hessian exists, else steepest descent, and
+    backtracks on the dual value.  Returns (beta, projected gradient
+    norm); it can stall above tol where three lines meet.
+    """
+    from fisher_infer.longrun import (_projected_residual, dual_grad_pop, dual_value_pop,
+                                      hessian_longrun_linear)
+
+    beta = np.minimum(np.asarray(beta0, dtype=float), cap)
+    g = dual_grad_pop(spec, beta)
+    for _ in range(max_iter):
+        if _projected_residual(beta, g, cap).max() <= tol:
+            break
+        frozen = (beta >= cap - 1e-12) & (g < 0)
+        gf = np.where(frozen, 0.0, g)
+        try:
+            H = hessian_longrun_linear(spec, beta)
+            free = ~frozen
+            step = np.zeros_like(beta)
+            step[free] = np.linalg.solve(H[np.ix_(free, free)], -gf[free])
+        except (ValueError, np.linalg.LinAlgError):
+            step = -gf
+        val = dual_value_pop(spec, beta)
+        s = 1.0
+        new = beta
+        while s > 1e-16:
+            cand = np.minimum(beta + s * step, cap)
+            if np.all(cand > 0) and dual_value_pop(spec, cand) <= val + 1e-4 * (gf @ (cand - beta)):
+                new = cand
+                break
+            s *= 0.5
+        if np.array_equal(new, beta):
+            break
+        beta = new
+        g = dual_grad_pop(spec, beta)
+    return beta, float(_projected_residual(beta, g, cap).max())
+
+
 def mc_quadrature(fun, n_samples, seed):
     """Monte Carlo mean and stderr of fun(theta) for theta ~ U[0, 1]."""
     gen = np.random.default_rng(seed)

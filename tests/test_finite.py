@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -579,6 +579,8 @@ def _near_tie(market, beta):
 
 
 @given(market=ordered_markets())
+# a run of pairs with equal q blocked the first off pair's move here
+@example(market=sample_items(random_linear1d_spec(50, 0), 2, seed=1))
 @settings(max_examples=200, deadline=None)
 def test_ordered_pattern_matches_dense_newton(market):
     dense = _dense_newton(market)
@@ -591,6 +593,19 @@ def test_ordered_pattern_matches_dense_newton(market):
         # one buyer is left to the dense tail
         ordered = finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL)
         assert (ordered is None) == (market.n == 1)
+
+
+@pytest.mark.parametrize("t,spec_seed,seed", [
+    (2, 0, 1), (2, 0, 6), (2, 0, 7), (2, 0, 8), (2, 0, 9), (2, 3, 3), (2, 11, 3),
+    (3, 8, 1), (3, 17, 1), (3, 17, 4), (3, 17, 9), (4, 12, 7), (5, 17, 1)])
+def test_ordered_pattern_moves_the_far_end_of_an_equal_run(t, spec_seed, seed):
+    # the n = 50 markets (spec seeds 0-19, sample seeds 0-9, t 2-8) on which
+    # the search gave up when a run of pairs with equal q blocked a move
+    market = sample_items(random_linear1d_spec(50, spec_seed), t, seed=seed)
+    assert finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL) is not None
+    dense = _dense_newton(market)
+    assert dense.certificate.certified
+    _assert_same_equilibrium(solve_sample_eg(market, method="newton"), dense)
 
 
 def _count_calls(monkeypatch, name):

@@ -1,13 +1,12 @@
 """Long-run equilibria: envelope geometry, exact solve, asymptotic variances."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from fisher_infer import longrun
 from fisher_infer.longrun import (
@@ -30,7 +29,7 @@ from fisher_infer.markets import (
     random_linear1d_spec,
 )
 
-from oracles import grid_min_longrun
+from oracles import descent_longrun, grid_min_longrun
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -113,12 +112,19 @@ def test_dual_value_single_buyer():
     assert dual_grad_pop(spec, np.array([2.0]))[0] == pytest.approx(0.5, abs=1e-14)
 
 
+def _positive_length_tie(spec, beta):
+    """Whether two scaled lines coincide, so that they tie on a segment."""
+    val = spec.valuation
+    return len(np.unique(np.stack([beta * val.c, beta * val.d], axis=1), axis=0)) < spec.n
+
+
 def test_dual_grad_flags_positive_length_tie():
     # beta = (1, 2) makes the scaled lines 2-2t and 2(1-t) coincide
     spec = _spec([-2.0, -1.0], [2.0, 1.0], [0.5, 0.5])
-    g, tied = dual_grad_pop(spec, np.array([1.0, 2.0]), return_tied=True)
-    assert tied
-    assert np.allclose(g, [0.5, -0.25])  # lowest-index subgradient
+    beta = np.array([1.0, 2.0])
+    assert _positive_length_tie(spec, beta)
+    assert not _positive_length_tie(spec, np.array([1.0, 1.5]))
+    assert np.allclose(dual_grad_pop(spec, beta), [0.5, -0.25])  # lowest-index subgradient
 
 
 def test_dual_rejects_nonpositive_beta(symmetric_spec):
@@ -132,9 +138,9 @@ def test_grad_matches_finite_differences(seed):
     gen = np.random.default_rng(seed)
     spec = random_linear1d_spec(int(gen.integers(1, 6)), seed=int(gen.integers(0, 50)))
     beta = gen.uniform(0.3, 1.8, spec.n)
-    g, tied = dual_grad_pop(spec, beta, return_tied=True)
-    if tied:
+    if _positive_length_tie(spec, beta):
         return
+    g = dual_grad_pop(spec, beta)
     h = 1e-5
     for i in range(spec.n):
         e = np.zeros(spec.n)
@@ -185,14 +191,15 @@ def test_solve_invariants_on_generated_specs():
 
 
 def test_restart_uniqueness(five_buyer_spec):
+    # the descent oracle reaches the solve's beta from random starts
     tol = 1e-10
     gen = np.random.default_rng(0)
     base = solve_longrun_eg(five_buyer_spec, tol=tol)
     lo = five_buyer_spec.budgets / 2.0
     for _ in range(10):
-        beta0 = gen.uniform(lo, 2.0)
-        eq = solve_longrun_eg(five_buyer_spec, tol=tol, beta0=beta0)
-        assert np.abs(eq.beta_star - base.beta_star).max() <= 10 * tol
+        beta, grad_norm = descent_longrun(five_buyer_spec, np.inf, gen.uniform(lo, 2.0), tol)
+        assert grad_norm <= tol
+        assert np.abs(beta - base.beta_star).max() <= 10 * tol
 
 
 def test_strong_duality_population(five_buyer_spec):
@@ -211,8 +218,6 @@ def test_solve_rejects_bad_specs(symmetric_spec):
     unnormalized = _spec([-2.0, 2.0], [2.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         solve_longrun_eg(unnormalized)
-    with pytest.raises(ValueError):
-        solve_longrun_eg(symmetric_spec, beta0=np.array([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +262,15 @@ def test_qeg_matches_projected_grid_search():
 
 
 def test_qeg_restarts_agree():
+    # the descent oracle reaches the solve's beta from random starts
     spec = _spec([-2.0, 2.0], [2.0, 0.0], [0.8, 0.6])
     tol = 1e-10
     base = solve_longrun_qeg(spec, tol=tol)
     gen = np.random.default_rng(1)
     for _ in range(5):
-        eq = solve_longrun_qeg(spec, tol=tol, beta0=gen.uniform(0.1, 1.0, 2))
-        assert np.abs(eq.beta_star - base.beta_star).max() <= 10 * tol
+        beta, grad_norm = descent_longrun(spec, 1.0, gen.uniform(0.1, 1.0, 2), tol)
+        assert grad_norm <= tol
+        assert np.abs(beta - base.beta_star).max() <= 10 * tol
 
 
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
@@ -286,7 +293,7 @@ def test_eg_and_qeg_agree_bit_for_bit_below_the_cap(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Start from the ordered-partition solution
+# The capped ordered partition
 # ---------------------------------------------------------------------------
 
 
@@ -294,19 +301,27 @@ def _mean_start(spec):
     return spec.budgets / spec.valuation.means()
 
 
+def _scaled(spec, mult):
+    return LongRunSpec(budgets=mult * spec.budgets, valuation=spec.valuation)
+
+
+def _agrees_with_oracle(eq, spec, cap):
+    """Where the descent oracle certifies from b / mean(v), it finds the
+    solve's beta."""
+    beta, grad_norm = descent_longrun(spec, cap, _mean_start(spec))
+    if grad_norm <= 1e-10:
+        assert np.abs(eq.beta_star - beta).max() <= 1e-8 * np.abs(beta).max()
+
+
 @given(n=st.integers(1, 60), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_partition_start_agrees_with_the_mean_start(n, seed):
+    # the oracle from b / mean(v) is slow and stalls on a few specs (e.g.
+    # (54, 1873025504) stops at 1.5e-9); compare where it certifies
     spec = random_linear1d_spec(n, seed)
     eq = solve_longrun_eg(spec)
     assert eq.grad_norm <= 1e-10
-    # the b / mean(v) start is slow and stalls on a few specs (e.g.
-    # (54, 1873025504) stops at 1.5e-9); compare where it certifies
-    try:
-        ref = solve_longrun_eg(spec, beta0=_mean_start(spec))
-    except RuntimeError:
-        return
-    assert np.abs(eq.beta_star - ref.beta_star).max() <= 1e-8 * np.abs(ref.beta_star).max()
+    _agrees_with_oracle(eq, spec, np.inf)
 
 
 @pytest.mark.parametrize("n,seed", [(100, s) for s in range(10)] + [(7, 8)])
@@ -314,6 +329,16 @@ def test_specs_that_stalled_from_the_mean_start_certify(n, seed):
     eq = solve_longrun_eg(random_linear1d_spec(n, seed))
     assert eq.grad_norm <= 1e-10
     assert np.array_equal(eq.winners, np.arange(n))
+
+
+@pytest.mark.parametrize("n", [120, 180, 200, 220])
+def test_large_specs_certify(n):
+    # some of these leave the ordered partition with |g| up to 2e-10,
+    # the rounding of its breakpoints; the Newton polish certifies them
+    for seed in range(10):
+        eq = solve_longrun_eg(random_linear1d_spec(n, seed))
+        assert eq.grad_norm <= 1e-10
+        assert np.array_equal(eq.winners, np.arange(n))
 
 
 def test_partition_start_needs_few_envelopes(monkeypatch):
@@ -329,50 +354,109 @@ def test_partition_start_needs_few_envelopes(monkeypatch):
     assert len(calls) <= 20
 
 
-def _same_outcome(solve, spec, **kwargs):
-    """Run solve from the default start and from b / mean(v): both give the
-    same bits or raise the same error."""
-    try:
-        ref = solve(spec, beta0=_mean_start(spec), **kwargs)
-    except RuntimeError as err:
-        with pytest.raises(RuntimeError, match=re.escape(str(err))):
-            solve(spec, **kwargs)
+def _lbfgsb_min(spec):
+    """scipy's L-BFGS-B minimum of the dual over (0, 1]^n, away from 0 by
+    half the bound b / (1 + b) that the minimizer obeys."""
+    b = spec.budgets
+    res = optimize.minimize(lambda x: dual_value_pop(spec, x), np.minimum(b, 1.0),
+                            jac=lambda x: dual_grad_pop(spec, x), method="L-BFGS-B",
+                            bounds=list(zip(b / (1.0 + b) / 2.0, np.ones(spec.n))),
+                            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20_000})
+    return res.x, res.fun
+
+
+def _assert_capped_block(eq):
+    """In (slope, index) order the capped buyers are one block; only its
+    ends win anything, the left end up to theta = 1/2 and the right end
+    from it.  A line identical to the one before it is no end.  Where
+    three or more lines meet at (1/2, 1) the envelope can keep a segment
+    of rounding width (1.06e-14 for spec (50, 5) x1.5) for an inner
+    buyer, so inner winnings count up to 1e-12."""
+    val = eq.spec.valuation
+    order = np.argsort(val.c, kind="stable")
+    capped = np.flatnonzero(eq.beta_star[order] >= 1.0 - 1e-12)
+    if not capped.size:
         return
-    eq = solve(spec, **kwargs)
-    assert np.array_equal(eq.beta_star, ref.beta_star)
-    assert np.array_equal(eq.delta, ref.delta)
-    assert (eq.rev, eq.grad_norm) == (ref.rev, ref.grad_norm)
+    assert np.array_equal(capped, np.arange(capped[0], capped[-1] + 1))
+    block = order[capped]
+    lines = np.stack([val.c[block], val.d[block]], axis=1)
+    ends = block[np.concatenate(([True], np.any(lines[1:] != lines[:-1], axis=1)))][[0, -1]]
+    assert np.all(eq.u_star[np.setdiff1d(block, ends)] <= 1e-12)
+    won = {int(w): (eq.breakpoints[k], eq.breakpoints[k + 1]) for k, w in enumerate(eq.winners)}
+    (lo, mid_l), (mid_r, hi) = won[int(ends[0])], won[int(ends[1])]
+    if ends[0] == ends[1]:
+        assert lo < 0.5 < hi
+    else:
+        assert lo < 0.5 < hi
+        assert abs(mid_l - 0.5) <= 1e-12 and abs(mid_r - 0.5) <= 1e-12
 
 
-def test_partition_start_falls_back_without_an_ordered_partition():
-    # slopes that do not increase with the index: no buyer order on the
-    # envelope matches the index order, so the solve starts at b / mean(v)
-    increasing_intercepts = _spec([2.0, -2.0], [0.0, 2.0], [0.8, 0.6])
-    equal_lines = _spec([-1.0, -1.0, 1.0], [1.5, 1.5, 0.5], [0.4, 0.3, 0.5])
-    for spec in (increasing_intercepts, equal_lines):
-        _same_outcome(solve_longrun_qeg, spec)
-        _same_outcome(solve_longrun_qeg, spec, max_iter=3)
+@pytest.mark.parametrize("mult", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("n", [5, 10, 20, 50])
+def test_capped_specs_certify_and_match_the_oracles(mult, n):
+    # with budgets x1.5 and x3 the descent loop certified 8 of these 48
+    for seed in range(6):
+        spec = _scaled(random_linear1d_spec(n, seed), mult)
+        eq = solve_longrun_qeg(spec)
+        assert eq.grad_norm <= 1e-10
+        beta, value = _lbfgsb_min(spec)
+        assert dual_value_pop(spec, eq.beta_star) <= value + 1e-10
+        assert np.abs(eq.beta_star - beta).max() <= 1e-4
+        _agrees_with_oracle(eq, spec, 1.0)
+        _assert_capped_block(eq)
 
 
-def test_partition_start_falls_back_above_the_cap():
-    # the uncapped partition solution puts buyer 0 above the cap of 1
+def test_identical_capped_lines_stay_at_the_cap():
+    # the second of two identical lines is inside the block: it wins
+    # nothing, as the lowest-index envelope gives
+    for c, d in (([-2.0, -2.0, 2.0], [2.0, 2.0, 0.0]), ([-2.0, 2.0, 2.0], [2.0, 0.0, 0.0])):
+        eq = solve_longrun_qeg(_spec(c, d, [2.0, 2.0, 2.0]))
+        assert np.array_equal(eq.beta_star, [1.0, 1.0, 1.0])
+        _assert_capped_block(eq)
+
+
+def test_solve_sorts_buyers_by_slope():
+    # slopes that do not increase with the index: the solve takes the
+    # buyers in slope order, so a permuted spec gives the permuted bits
     two_lines = _spec([-2.0, 2.0], [2.0, 0.0], [0.8, 0.6])
-    assert longrun._partition_start(two_lines, np.inf)[0] > 1.0
-    base = random_linear1d_spec(5, 0)
-    rich = _spec(base.valuation.c, base.valuation.d, 1.5 * base.budgets)
-    for spec in (two_lines, rich):
-        _same_outcome(solve_longrun_qeg, spec)
+    swapped = _spec([2.0, -2.0], [0.0, 2.0], [0.6, 0.8])
+    eq, sw = solve_longrun_qeg(two_lines), solve_longrun_qeg(swapped)
+    assert np.array_equal(sw.beta_star, eq.beta_star[::-1])
+    assert np.array_equal(sw.delta, eq.delta[::-1])
+    assert (sw.rev, sw.grad_norm) == (eq.rev, eq.grad_norm)
+    _agrees_with_oracle(sw, swapped, 1.0)
 
 
-def test_partition_start_falls_back_when_newton_fails(monkeypatch):
+def test_free_identical_lines_have_no_certificate():
+    # two identical lines below the cap tie on a segment, and the
+    # lowest-index subgradient leaves the second one's gradient nonzero
+    equal_lines = _spec([-1.0, -1.0, 1.0], [1.5, 1.5, 0.5], [0.4, 0.3, 0.5])
+    with pytest.raises(RuntimeError, match="no certificate"):
+        solve_longrun_qeg(equal_lines)
+    assert descent_longrun(equal_lines, 1.0, _mean_start(equal_lines))[1] > 1e-10
+
+
+def test_capped_solve_matches_the_descent_oracle():
+    # the uncapped ordered partition puts buyer 0 of the two-line market
+    # above the cap; the descent oracle took 5 steps from b / mean(v)
+    two_lines = _spec([-2.0, 2.0], [2.0, 0.0], [0.8, 0.6])
+    for spec in (two_lines, _scaled(random_linear1d_spec(5, 0), 1.5)):
+        eq = solve_longrun_qeg(spec)
+        beta, grad_norm = descent_longrun(spec, 1.0, _mean_start(spec))
+        assert grad_norm <= 1e-10
+        assert np.abs(eq.beta_star - beta).max() <= 1e-8
+
+
+def test_solve_raises_when_newton_fails(monkeypatch):
     def singular(*args):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setattr(longrun, "_solve_tridiagonal", singular)
     for n, seed in ((5, 0), (12, 3)):
         spec = random_linear1d_spec(n, seed)
-        _same_outcome(solve_longrun_qeg, spec)
-        _same_outcome(solve_longrun_eg, spec)
+        for solve in (solve_longrun_eg, solve_longrun_qeg):
+            with pytest.raises(RuntimeError, match="zero pivot"):
+                solve(spec)
 
 
 # ---------------------------------------------------------------------------
