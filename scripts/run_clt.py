@@ -36,14 +36,16 @@ def main() -> None:
     ap.add_argument("--t", type=int, default=5000)
     ap.add_argument("--k", type=int, default=50)
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--method", default="newton", choices=["pr", "subgradient", "newton"])
+    ap.add_argument("--method", choices=["pr", "subgradient", "newton"],
+                    help="solver route (default: ExperimentConfig's)")
     ap.add_argument("--out", default=None, help="directory for clt.csv")
     args = ap.parse_args()
 
     spec = symmetric_spec() if args.symmetric else random_linear1d_spec(
         args.n, seed=args.spec_seed)
+    route = {"method": args.method} if args.method else {}
     cfg = ExperimentConfig(spec=spec, mode="clt", t_grid=(args.t,),
-                           k=args.k, base_seed=args.base_seed, method=args.method)
+                           k=args.k, base_seed=args.base_seed, **route)
     res = run_clt_experiment(cfg, out_dir=args.out)
 
     print(f"k = {len(res.samples)} samples of sqrt(t)(nsw_hat - nsw_star) at t = {args.t}")
@@ -54,9 +56,7 @@ def main() -> None:
         print(f"sample mean = {res.samples.mean():.5f}, "
               f"sample var = {res.samples.var(ddof=1):.5f}")
         print(f"KS: D = {res.ks.d_stat:.4f}, p = {res.ks.p_value:.4f} (n = {res.ks.n})")
-        theo = np.array([q[0] for q in res.qq])
-        samp = np.array([q[1] for q in res.qq])
-        slope = float(np.polyfit(theo, samp, 1)[0])
+        slope = float(np.polyfit(res.qq[:, 0], res.qq[:, 1], 1)[0])
         print(f"QQ slope vs N(0, sigma2_nsw): {slope:.4f} (1.0 if exactly normal)")
     if args.out:
         print(f"samples written to {os.path.join(args.out, 'clt.csv')}")

@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     p.add_argument("--qlin", action="store_true", help="quasilinear buyers")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--method", default="pr", choices=("pr", "subgradient", "newton"))
+    p.add_argument("--method", default="newton", choices=("newton", "pr", "subgradient"))
     p.set_defaults(func=_cmd_solve)
 
     for name, func, help_text in (

@@ -7,6 +7,10 @@ per-replication seeds depend only on (base_seed, t, rep), so output
 files are byte-identical no matter how many workers run.  FISHER_INFER_THREADS
 caps the worker pool.
 
+Each run_* result holds its replications as one numpy record array,
+`rows`, with the fields of ReplicationResult: a column per field
+(rows.nsw_hat) and a record per replication (rows[0].status).
+
 CSV column sets are fixed:
   convergence: t,rep,seed,nsw_hat,nsw_star,abs_err
   clt:         rep,seed,standardized_nsw
@@ -23,6 +27,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +51,7 @@ class ExperimentConfig:
     alpha: float = 0.05
     tol: float = 1e-9
     max_iter: int = 200_000
-    method: str = "pr"
+    method: str = "newton"
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -95,7 +100,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         alpha=float(data.get("alpha", 0.05)),
         tol=float(data.get("tol", 1e-9)),
         max_iter=int(data.get("max_iter", 200_000)),
-        method=data.get("method", "pr"),
+        method=data.get("method", "newton"),
         out_dir=data.get("out_dir"),
     )
 
@@ -116,20 +121,32 @@ def derive_seed(base_seed: int, t: int, rep: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
+class ReplicationResult(NamedTuple):
+    """One replication, as the worker returns it.  Fields that the mode or
+    an uncertified solve leaves empty are NaN; ci is (lo, hi), and
+    beta_hat and u_hat hold one entry per buyer."""
+
     t: int
     rep: int
     seed: int
     status: str
     wall_time: float
-    nsw_hat: float = float("nan")
-    rev_hat: float = float("nan")
-    sigma2_hat: float = float("nan")
-    ci: tuple[float, float] | None = None
-    beta_hat: tuple[float, ...] = ()
-    u_hat: tuple[float, ...] = ()
-    comp_slack: float = float("nan")
+    nsw_hat: float
+    rev_hat: float
+    sigma2_hat: float
+    ci: tuple[float, float]
+    beta_hat: np.ndarray
+    u_hat: np.ndarray
+    comp_slack: float
+
+
+def _row_dtype(n: int) -> np.dtype:
+    """ReplicationResult's fields as one record of 124 + 16 n bytes."""
+    return np.dtype([("t", np.int64), ("rep", np.int64), ("seed", np.uint64),
+                     ("status", "U11"), ("wall_time", float), ("nsw_hat", float),
+                     ("rev_hat", float), ("sigma2_hat", float), ("ci", float, (2,)),
+                     ("beta_hat", float, (n,)), ("u_hat", float, (n,)),
+                     ("comp_slack", float)])
 
 
 def _replication(args) -> ReplicationResult:
@@ -142,20 +159,20 @@ def _replication(args) -> ReplicationResult:
     else:
         eq = solve_sample_eg(market, tol=tol, max_iter=max_iter, method=method)
     wall = time.perf_counter() - start
+    nan = float("nan")
     if not eq.certificate.certified:
         # recorded, not fatal: the row is flagged and skipped in summaries
-        return ReplicationResult(t=t, rep=rep, seed=seed, status="uncertified",
-                                 wall_time=wall)
+        empty = np.full(market.n, nan)
+        return ReplicationResult(t, rep, seed, "uncertified", wall, nan, nan, nan,
+                                 (nan, nan), empty, empty, nan)
     if qlin:
         comp = float(np.abs(eq.delta * (1.0 - eq.beta)).max())
-        return ReplicationResult(t=t, rep=rep, seed=seed, status="ok", wall_time=wall,
-                                 rev_hat=eq.rev, beta_hat=tuple(eq.beta),
-                                 u_hat=tuple(eq.u), comp_slack=comp)
+        return ReplicationResult(t, rep, seed, "ok", wall, nan, eq.rev, nan, (nan, nan),
+                                 eq.beta, eq.u, comp)
     sigma2_hat = estimate_sigma2_nsw(eq.p)
-    lo, hi = ci_nsw(eq.nsw, sigma2_hat, t, alpha)
-    return ReplicationResult(t=t, rep=rep, seed=seed, status="ok", wall_time=wall,
-                             nsw_hat=eq.nsw, sigma2_hat=sigma2_hat, ci=(lo, hi),
-                             beta_hat=tuple(eq.beta), u_hat=tuple(eq.u))
+    ci = ci_nsw(eq.nsw, sigma2_hat, t, alpha)
+    return ReplicationResult(t, rep, seed, "ok", wall, eq.nsw, nan, sigma2_hat, ci,
+                             eq.beta, eq.u, nan)
 
 
 def _worker_cap(njobs: int) -> int:
@@ -164,7 +181,9 @@ def _worker_cap(njobs: int) -> int:
     return max(1, min(cap, njobs))
 
 
-def _run_jobs(jobs: list) -> list[ReplicationResult]:
+def _run_jobs(jobs: list) -> np.recarray:
+    """The replications of jobs as one record array in (t, rep) order;
+    one record costs far less memory than one tuple of Python objects."""
     workers = _worker_cap(len(jobs))
     if workers == 1:
         results = [_replication(j) for j in jobs]
@@ -172,7 +191,8 @@ def _run_jobs(jobs: list) -> list[ReplicationResult]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication, jobs,
                                     chunksize=max(1, len(jobs) // (4 * workers))))
-    return sorted(results, key=lambda r: (r.t, r.rep))
+    results.sort(key=lambda r: r[:2])
+    return np.array(results, dtype=_row_dtype(len(results[0].beta_hat))).view(np.recarray)
 
 
 def _jobs_for(config: ExperimentConfig, t_values, qlin: bool) -> list:
@@ -195,7 +215,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -226,7 +246,7 @@ def _longrun_reference(spec: LongRunSpec, qlin: bool = False) -> LongRunEquilibr
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    rows: list[ReplicationResult]
+    rows: np.recarray
     summary: list[dict]
     nsw_star: float | None
     beta_star: tuple[float, ...] | None
@@ -248,33 +268,31 @@ def run_convergence_sweep(config: ExperimentConfig,
     nsw_star = star.nsw_star if star is not None else None
     beta_star = tuple(star.beta_star) if star is not None else None
     rows = _run_jobs(_jobs_for(config, config.t_grid, qlin=False))
+    ref = nsw_star if nsw_star is not None else float("nan")
+    err = np.abs(rows.nsw_hat - ref)
 
-    csv_rows = []
-    for r in rows:
-        err = abs(r.nsw_hat - nsw_star) if nsw_star is not None else float("nan")
-        csv_rows.append((r.t, r.rep, r.seed, r.nsw_hat,
-                         nsw_star if nsw_star is not None else float("nan"), err))
     path = _out_path(config, out_dir, "convergence.csv")
     if path:
-        _write_csv(path, ["t", "rep", "seed", "nsw_hat", "nsw_star", "abs_err"], csv_rows)
+        _write_csv(path, ["t", "rep", "seed", "nsw_hat", "nsw_star", "abs_err"],
+                   zip(rows.t, rows.rep, rows.seed, rows.nsw_hat,
+                       np.full(len(rows), ref), err))
 
     summary = []
+    ok = rows.status == "ok"
     for t in config.t_grid:
-        good = [r for r in rows if r.t == t and r.status == "ok"]
-        failed = sum(1 for r in rows if r.t == t and r.status != "ok")
-        entry = {"t": t, "n_ok": len(good), "n_failed": failed,
+        at_t = rows.t == t
+        good = ok & at_t
+        entry = {"t": t, "n_ok": int(good.sum()), "n_failed": int((at_t & ~ok).sum()),
                  "mean_nsw": float("nan"), "stderr_nsw": float("nan"),
                  "mean_abs_err": float("nan"), "mean_beta_err": float("nan")}
-        if good:
-            entry["mean_nsw"], entry["stderr_nsw"] = summarize_reps(
-                [r.nsw_hat for r in good])
+        if good.any():
+            entry["mean_nsw"], entry["stderr_nsw"] = summarize_reps(rows.nsw_hat[good])
             if nsw_star is not None:
-                entry["mean_abs_err"], _ = summarize_reps(
-                    [abs(r.nsw_hat - nsw_star) for r in good])
+                entry["mean_abs_err"], _ = summarize_reps(err[good])
             if beta_star is not None:
                 entry["mean_beta_err"], _ = summarize_reps(
-                    [float(np.linalg.norm(np.array(r.beta_hat) - np.array(beta_star)))
-                     for r in good])
+                    [np.linalg.norm(beta - star.beta_star)
+                     for beta in rows.beta_hat[good]])
         summary.append(entry)
 
     nsw_rate = beta_rate = None
@@ -293,11 +311,11 @@ def run_convergence_sweep(config: ExperimentConfig,
 
 @dataclass(frozen=True)
 class CltResult:
-    rows: list[ReplicationResult]
+    rows: np.recarray
     samples: np.ndarray
     sigma2: float
     ks: KSResult | None
-    qq: list[tuple[float, float]] | None
+    qq: np.ndarray | None  # (k, 2): theoretical and empirical quantiles
     degenerate: bool
 
 
@@ -314,14 +332,13 @@ def run_clt_experiment(config: ExperimentConfig, out_dir: str | None = None) -> 
     t = config.t_grid[-1]
     sig2 = sigma2_nsw(star)
     rows = _run_jobs(_jobs_for(config, [t], qlin=False))
-    good = [r for r in rows if r.status == "ok"]
-    samples = np.array([math.sqrt(t) * (r.nsw_hat - star.nsw_star) for r in good])
+    good = rows[rows.status == "ok"]
+    samples = math.sqrt(t) * (good.nsw_hat - star.nsw_star)
 
     path = _out_path(config, out_dir, "clt.csv")
     if path:
         _write_csv(path, ["rep", "seed", "standardized_nsw"],
-                   [(r.rep, r.seed, math.sqrt(t) * (r.nsw_hat - star.nsw_star))
-                    for r in good])
+                   zip(good.rep, good.seed, samples))
 
     degenerate = sig2 <= 0
     ks = qq = None
@@ -334,8 +351,8 @@ def run_clt_experiment(config: ExperimentConfig, out_dir: str | None = None) -> 
 
 @dataclass(frozen=True)
 class CoverageResult:
-    rows: list[ReplicationResult]
-    covered: list[bool]
+    rows: np.recarray
+    covered: np.ndarray
     coverage: float
     stderr: float
     nsw_star: float
@@ -349,20 +366,20 @@ def run_coverage_experiment(config: ExperimentConfig,
         raise ValueError("coverage experiment needs a 1-D linear spec with an exact solution")
     t = config.t_grid[-1]
     rows = _run_jobs(_jobs_for(config, [t], qlin=False))
-    good = [r for r in rows if r.status == "ok"]
+    good = rows[rows.status == "ok"]
+    lo, hi = good.ci.T
     # roundoff slack: zero-variance markets produce zero-width intervals
     # that sit within an ulp of the target; containment must not break there
     slack = 1e-12 * max(1.0, abs(star.nsw_star))
-    covered = [bool(r.ci[0] - slack <= star.nsw_star <= r.ci[1] + slack)
-               for r in good]
+    covered = (lo - slack <= star.nsw_star) & (star.nsw_star <= hi + slack)
 
     path = _out_path(config, out_dir, "coverage.csv")
     if path:
         _write_csv(path, ["rep", "seed", "lo", "hi", "covered"],
-                   [(r.rep, r.seed, r.ci[0], r.ci[1], c) for r, c in zip(good, covered)])
+                   zip(good.rep, good.seed, lo, hi, covered))
 
     k = len(covered)
-    frac = sum(covered) / k if k else float("nan")
+    frac = int(covered.sum()) / k if k else float("nan")
     stderr = math.sqrt(frac * (1.0 - frac) / k) if k else float("nan")
     return CoverageResult(rows=rows, covered=covered, coverage=frac, stderr=stderr,
                           nsw_star=star.nsw_star)
@@ -370,7 +387,7 @@ def run_coverage_experiment(config: ExperimentConfig,
 
 @dataclass(frozen=True)
 class QlinRevenueResult:
-    rows: list[ReplicationResult]
+    rows: np.recarray
     summary: list[dict]
     rev_star: float
     rate: RateFit | None
@@ -384,29 +401,31 @@ def run_qlin_revenue(config: ExperimentConfig,
     if star is None:
         raise ValueError("revenue sweep needs a 1-D linear spec with an exact solution")
     rows = _run_jobs(_jobs_for(config, config.t_grid, qlin=True))
+    err = np.abs(rows.rev_hat - star.rev)
 
     path = _out_path(config, out_dir, "qlin.csv")
     if path:
         _write_csv(path, ["t", "rep", "seed", "rev_hat", "rev_star", "abs_err"],
-                   [(r.t, r.rep, r.seed, r.rev_hat, star.rev,
-                     abs(r.rev_hat - star.rev)) for r in rows])
+                   zip(rows.t, rows.rep, rows.seed, rows.rev_hat,
+                       np.full(len(rows), star.rev), err))
 
     summary = []
+    ok = rows.status == "ok"
     for t in config.t_grid:
-        good = [r for r in rows if r.t == t and r.status == "ok"]
-        entry = {"t": t, "n_ok": len(good),
-                 "n_failed": sum(1 for r in rows if r.t == t and r.status != "ok"),
+        at_t = rows.t == t
+        good = ok & at_t
+        entry = {"t": t, "n_ok": int(good.sum()), "n_failed": int((at_t & ~ok).sum()),
                  "mean_abs_err": float("nan"), "stderr_abs_err": float("nan")}
-        if good:
-            entry["mean_abs_err"], entry["stderr_abs_err"] = summarize_reps(
-                [abs(r.rev_hat - star.rev) for r in good])
+        if good.any():
+            entry["mean_abs_err"], entry["stderr_abs_err"] = summarize_reps(err[good])
         summary.append(entry)
     pts = [(e["t"], e["mean_abs_err"]) for e in summary
            if e["n_ok"] > 0 and e["mean_abs_err"] > 0]
     rate = fit_rate(pts) if len(pts) >= 2 else None
-    slacks = [r.comp_slack for r in rows if r.status == "ok"]
+    slacks = rows.comp_slack[ok]
+    worst = float(slacks.max()) if slacks.size else float("nan")
     return QlinRevenueResult(rows=rows, summary=summary, rev_star=star.rev, rate=rate,
-                             max_comp_slack=max(slacks) if slacks else float("nan"))
+                             max_comp_slack=worst)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):

@@ -2,20 +2,22 @@
 
 Three routes to the dual minimizer are provided and cross-checked:
 
+* "newton" (the default): damped Newton on a softmax-smoothed dual with
+  the smoothing temperature driven to zero.  Its softmax exponentiates
+  only bids within 746 mu of their item's top bid: exp of anything
+  lower is exactly 0.0, so the cut changes no bit.  Linear markets whose
+  winners are intervals of sorted items (sampled 1-D linear markets)
+  skip the smoothed tail: the ordered-pattern solve finds their exact
+  tie pattern from sorted prefix sums, and the tail runs only where it
+  does not apply or does not certify.  Where neither certifies, the
+  route falls back to "pr", and the certificate names "pr".
 * "pr": proportional response dynamics on money bids.  Each buyer splits
   its budget over items in proportion to the utility each item currently
   delivers; prices are column sums of bids.  Robust and allocation-aware,
-  linear convergence on most instances.
+  linear convergence on most instances; it hands long runs to the
+  smoothed-Newton tail.
 * "subgradient": projected subgradient descent on the dual over the
-  multiplier box, with decaying steps, then a smoothed-dual Newton tail.
-* "newton": damped Newton on a softmax-smoothed dual with the smoothing
-  temperature driven to zero.  The fast route for large markets.  Its
-  softmax exponentiates only bids within 746 mu of their item's top bid:
-  exp of anything lower is exactly 0.0, so the cut changes no bit.
-  Linear markets whose winners are intervals of sorted items (sampled
-  1-D linear markets) skip the smoothed tail: the ordered-pattern solve
-  finds their exact tie pattern from sorted prefix sums, and the tail
-  runs only where it does not apply or does not certify.
+  multiplier box, with decaying steps, then the smoothed-Newton tail.
 
 All routes finish with an exact pattern solve: near the optimum the items
 whose top bids tie link buyers into a forest, and on the manifold where
@@ -215,29 +217,54 @@ def _split_tied_supply(V, i, tau, i0, tied_items, ref, targets, s, capped, X):
     of tied item tied_items[j] goes to its lowest-index winner ref[j].
     Writes the tied columns of X and returns False if the linear system
     is inconsistent or leaves the per-item simplex.
+
+    Each edge is first one unknown.  The edges of one buyer pair have
+    proportional columns, so the min-norm split may overfill an item
+    where another split fits; if that split leaves the simplex, each
+    pair becomes one unknown, its share in units of its first item,
+    which fills the pair's items in edge order, each up to the supply
+    the other edges leave.
     """
+    n, t = V.shape
     d = targets.copy()
     np.subtract.at(d, ref, V[ref, tied_items] * s)
-    A = np.zeros((V.shape[0], len(i)))
-    k = np.arange(len(i))
-    A[i, k] = V[i, tau]
-    A[i0, k] = -V[i0, tau]
     keep = ~capped
-    sol, *_ = np.linalg.lstsq(A[keep], d[keep], rcond=None)
-    # with every buyer at the cap no utility row is left to check
-    if keep.any() and sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
-        return False
-    if np.any(sol < -1e-9) or np.any(sol > s * (1 + 1e-6)):
-        return False
-    share = np.clip(sol, 0.0, s)
-    taken = np.zeros(V.shape[1])
-    np.add.at(taken, tau, share)
-    rest = s - taken[tied_items]
-    if np.any(rest < -1e-9):
-        return False
-    X[i, tau] = share
-    X[ref, tied_items] = np.maximum(rest, 0.0)
-    return True
+    _, first, pair = np.unique(i * n + i0, return_index=True, return_inverse=True)
+    unknowns = [np.arange(len(i))]
+    if len(first) < len(i):
+        rank = np.empty(len(first), dtype=int)  # pairs numbered by their first edge
+        rank[np.argsort(first)] = np.arange(len(first))
+        unknowns.append(rank[pair.ravel()])
+    for col in unknowns:
+        lead = np.unique(col, return_index=True)[1]  # first edge of each unknown
+        A = np.zeros((n, len(lead)))
+        k = np.arange(len(lead))
+        A[i[lead], k] = V[i[lead], tau[lead]]
+        A[i0[lead], k] = -V[i0[lead], tau[lead]]
+        sol, *_ = np.linalg.lstsq(A[keep], d[keep], rcond=None)
+        # with every buyer at the cap no utility row is left to check
+        if keep.any() and sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
+            return False
+        room = s * (np.bincount(col, V[i, tau]) / V[i[lead], tau[lead]])
+        if np.any(sol < -1e-9) or np.any(sol > room * (1 + 1e-6)):
+            continue
+        repeated = np.bincount(col)[col] > 1
+        share = np.where(repeated, 0.0, np.clip(sol, 0.0, s)[col])
+        taken = np.zeros(t)
+        np.add.at(taken, tau, share)
+        need = np.maximum(sol, 0.0) * V[i[lead], tau[lead]]  # value each pair passes on
+        for e in np.flatnonzero(repeated):
+            c, item = col[e], tau[e]
+            share[e] = min(max(s - taken[item], 0.0), need[c] / V[i[e], item])
+            taken[item] += share[e]
+            need[c] -= share[e] * V[i[e], item]
+        rest = s - taken[tied_items]
+        if np.any(need[col[repeated]] > 1e-9) or np.any(rest < -1e-9):
+            continue
+        X[i, tau] = share
+        X[ref, tied_items] = np.maximum(rest, 0.0)
+        return True
+    return False
 
 
 def _attempt_pattern(V, b, bids, top, tie_rtol, tol, cap):
@@ -714,7 +741,11 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
         res = _ordered_pattern(V, b, tol) if method == "newton" and np.isinf(cap) else None
         if res is None:
             res, beta_out = _newton_tail(V, b, beta0, tol, cap)
-            if res is None:
+            if res is None and method == "newton":
+                # PR certifies some small markets with zero values that the tail misses
+                method = "pr"
+                res, iters, escalated = _run_pr(V, b, tol, max_iter, cap)
+            elif res is None:
                 res = _best_effort(V, b, beta_out, cap)
     beta, u, X, delta, gap = res
     p = (beta[:, None] * V).max(axis=0)
@@ -731,7 +762,7 @@ def solve_sample_eg(
     market: FiniteMarket,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "pr",
+    method: str = "newton",
 ) -> FiniteEquilibrium:
     """Compute the equilibrium of a sampled linear market.
 
@@ -742,13 +773,16 @@ def solve_sample_eg(
     tol : float
         Certification threshold on the duality gap.
     max_iter : int
-        Iteration budget for the PR route.
+        Iteration budget for the PR route, also where "newton" falls
+        back to it.
     method : str
-        "pr" (default), "subgradient", or "newton".  "newton" first tries
+        "newton" (default), "pr" or "subgradient".  "newton" first tries
         the ordered-pattern solve, for V > 0 whose items sort so that
         every buyer wins an interval of them (log-supermodular V, such
-        as sampled 1-D linear markets), and runs the smoothed Newton
-        tail from b / mean(V) when that does not certify.
+        as sampled 1-D linear markets), runs the smoothed Newton tail
+        from b / mean(V) when that does not certify, and runs "pr" when
+        the tail does not certify either; certificate.method names the
+        route that produced the result.
 
     Returns
     -------
@@ -765,7 +799,7 @@ def solve_sample_qeg(
     market: FiniteMarket,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "pr",
+    method: str = "newton",
 ) -> FiniteEquilibrium:
     """Compute the equilibrium of a sampled quasilinear market.
 

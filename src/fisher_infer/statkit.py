@@ -163,16 +163,17 @@ def ks_normal_test(samples, mu: float, sigma: float) -> KSResult:
     return KSResult(d_stat=d, p_value=float(min(max(p, 0.0), 1.0)), n=n)
 
 
-def qq_points(samples, mu: float, sigma: float) -> list[tuple[float, float]]:
-    """(theoretical, empirical) quantile pairs at positions (k - 1/2)/n."""
+def qq_points(samples, mu: float, sigma: float) -> np.ndarray:
+    """(n, 2) array of (theoretical, empirical) quantile pairs at positions
+    (k - 1/2)/n."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples")
-    return [(mu + sigma * normal_quantile((k + 0.5) / n), float(x[k]))
-            for k in range(n)]
+    z = np.array([normal_quantile((k + 0.5) / n) for k in range(n)])
+    return np.column_stack((mu + sigma * z, x))
 
 
 # ---------------------------------------------------------------------------

@@ -319,14 +319,66 @@ def _split_tied_supply(V, winmask, tied_items, targets, s, capped):
     # with every buyer at the cap no utility row is left to check
     if keep.any() and sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
         return None
-    if np.any(sol < -1e-9) or np.any(sol > s * (1 + 1e-6)):
+    frac = None
+    if not (np.any(sol < -1e-9) or np.any(sol > s * (1 + 1e-6))):
+        frac = {}
+        taken = defaultdict(float)
+        for k, (i, tau, i0) in enumerate(cols):
+            val = float(np.clip(sol[k], 0.0, s))
+            frac[(i, tau)] = val
+            taken[tau] += val
+        for tau in tied_items:
+            i0 = int(winmask[:, tau].argmax())
+            rest = s - taken[int(tau)]
+            if rest < -1e-9:
+                frac = None
+                break
+            frac[(i0, int(tau))] = max(rest, 0.0)
+    if frac is None:
+        frac = _split_by_pair(V, cols, winmask, tied_items, d, s, keep)
+    return frac
+
+
+def _split_by_pair(V, cols, winmask, tied_items, d, s, keep):
+    """The fallback of _split_tied_supply: one unknown per buyer pair, in
+    units of its first edge's item, spread over the pair's items in edge
+    order, each up to the supply the other edges leave."""
+    pairs = {}
+    for k, (i, tau, i0) in enumerate(cols):
+        pairs.setdefault((i, i0), []).append(k)
+    if len(pairs) == len(cols):
+        return None
+    A = np.zeros((V.shape[0], len(pairs)))
+    for c, ((i, i0), ks) in enumerate(pairs.items()):
+        tau = cols[ks[0]][1]
+        A[i, c] = V[i, tau]
+        A[i0, c] = -V[i0, tau]
+    sol, *_ = np.linalg.lstsq(A[keep], d[keep], rcond=None)
+    if keep.any() and sol.size and np.abs(A[keep] @ sol - d[keep]).max() > 1e-9:
         return None
     frac = {}
     taken = defaultdict(float)
-    for k, (i, tau, i0) in enumerate(cols):
-        val = float(np.clip(sol[k], 0.0, s))
-        frac[(i, tau)] = val
-        taken[tau] += val
+    need = {}
+    for c, ((i, i0), ks) in enumerate(pairs.items()):
+        first = V[i, cols[ks[0]][1]]
+        total = 0.0
+        for k in ks:
+            total += V[i, cols[k][1]]
+        if sol[c] < -1e-9 or sol[c] > s * (total / first) * (1 + 1e-6):
+            return None
+        if len(ks) == 1:
+            frac[(i, cols[ks[0]][1])] = float(np.clip(sol[c], 0.0, s))
+            taken[cols[ks[0]][1]] += frac[(i, cols[ks[0]][1])]
+        else:
+            need[(i, i0)] = max(sol[c], 0.0) * first
+    for i, tau, i0 in cols:
+        if (i, i0) in need:
+            val = min(max(s - taken[tau], 0.0), need[(i, i0)] / V[i, tau])
+            frac[(i, tau)] = val
+            taken[tau] += val
+            need[(i, i0)] -= val * V[i, tau]
+    if any(left > 1e-9 for left in need.values()):
+        return None
     for tau in tied_items:
         i0 = int(winmask[:, tau].argmax())
         rest = s - taken[int(tau)]

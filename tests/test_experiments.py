@@ -36,6 +36,7 @@ from fisher_infer.markets import (
     LinearMDValuation,
     LongRunSpec,
     UniformCubeSupply,
+    random_linear1d_spec,
     save_spec,
 )
 
@@ -216,7 +217,7 @@ def test_convergence_single_buyer_exact_nsw():
 
 def test_convergence_flags_uncertified_rows(five_buyer_spec):
     cfg = ExperimentConfig(spec=five_buyer_spec, mode="convergence",
-                           t_grid=(200,), k=2, base_seed=3, max_iter=10)
+                           t_grid=(200,), k=2, base_seed=3, max_iter=10, method="pr")
     res = run_convergence_sweep(cfg)
     assert all(r.status == "uncertified" for r in res.rows)
     assert res.summary[0]["n_failed"] == 2
@@ -350,6 +351,47 @@ def test_run_experiment_dispatch(symmetric_spec):
     assert isinstance(run_experiment(qcfg), QlinRevenueResult)
     with pytest.raises(ValueError):
         run_experiment(_mini_config(symmetric_spec, mode="single_solve"))
+
+
+def _two_lines(budgets):
+    return LongRunSpec(budgets=np.array(budgets),
+                       valuation=Linear1DValuation(c=np.array([-2.0, 2.0]),
+                                                   d=np.array([2.0, 0.0])))
+
+
+@pytest.mark.parametrize("mode,csv,spec,t_grid,k", [
+    ("clt", "clt.csv", _two_lines([0.5, 0.5]), (400,), 30),
+    ("coverage", "coverage.csv", _two_lines([0.5, 0.5]), (300,), 30),
+    ("convergence", "convergence.csv", random_linear1d_spec(5, 42), (50, 200), 6),
+    ("revenue_qlin", "qlin.csv", _two_lines([0.8, 0.6]), (100, 400), 6),
+])
+def test_default_route_writes_the_pr_route_csvs(tmp_path, mode, csv, spec, t_grid, k):
+    cfg = _mini_config(spec, mode=mode, t_grid=t_grid, k=k)
+    assert cfg.method == "newton"
+    run_experiment(cfg, out_dir=str(tmp_path / "default"))
+    run_experiment(dataclasses.replace(cfg, method="pr"), out_dir=str(tmp_path / "pr"))
+    default = (tmp_path / "default" / csv).read_bytes()
+    assert default == (tmp_path / "pr" / csv).read_bytes()
+    assert default.count(b"\n") == 1 + len(t_grid) * k
+
+
+def test_rows_are_one_record_array(symmetric_spec, five_buyer_spec):
+    res = run_clt_experiment(_mini_config(symmetric_spec, mode="clt", t_grid=(200,), k=5))
+    rows = res.rows
+    assert isinstance(rows, np.recarray) and rows.dtype.names == ReplicationResult._fields
+    assert rows.beta_hat.shape == (5, 2) and rows.u_hat.shape == (5, 2)
+    assert rows.ci.shape == (5, 2) and np.all(rows.ci[:, 0] < rows.ci[:, 1])
+    assert list(rows.rep) == list(range(5)) and all(rows.status == "ok")
+    first = rows[0]
+    assert first.t == 200 and first.seed == derive_seed(7, 200, 0) and first.status == "ok"
+    assert np.array_equal(first.u_hat, rows.u_hat[0]) and math.isnan(first.rev_hat)
+    assert res.qq.shape == (5, 2) and np.array_equal(res.qq[:, 1], np.sort(res.samples))
+    # an uncertified replication keeps its place with NaN estimates
+    flagged = run_convergence_sweep(ExperimentConfig(
+        spec=five_buyer_spec, mode="convergence", t_grid=(100,), k=1, max_iter=10,
+        method="pr")).rows
+    assert flagged.status[0] == "uncertified" and flagged.beta_hat.shape == (1, 5)
+    assert np.isnan(flagged.beta_hat).all() and np.isnan(flagged.ci).all()
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_max_iter_exhaustion_returns_flagged_iterate(five_buyer_spec):
     from fisher_infer.markets import sample_items
 
     market = sample_items(five_buyer_spec, t=200, seed=7)
-    eq = solve_sample_eg(market, max_iter=50)
+    eq = solve_sample_eg(market, max_iter=50, method="pr")
     assert not eq.certificate.certified
     assert eq.certificate.duality_gap > 1e-9
     assert np.all(eq.beta > 0)
@@ -320,6 +320,45 @@ def test_newton_route_agrees_with_pr():
     eq_pr = solve_sample_eg(m, method="pr")
     eq_nt = solve_sample_eg(m, method="newton")
     assert np.abs(eq_pr.beta - eq_nt.beta).max() < 1e-6
+
+
+def _tiny_zero_value_market(seed):
+    # n 3-7, t <= 15, about 20% zero values
+    g = np.random.default_rng(seed)
+    n, t = int(g.integers(3, 8)), int(g.integers(1, 16))
+    V = g.uniform(0.0, 1.0, (n, t))
+    V[g.random((n, t)) < 0.2] = 0.0
+    b = g.uniform(0.2, 1.0, n)
+    return FiniteMarket(V=V, budgets=b / b.sum())
+
+
+def test_newton_route_falls_back_to_pr():
+    market = _tiny_zero_value_market(3)
+    V, b = market.V, market.budgets
+    assert finite._ordered_pattern(V, b, DEFAULT_TOL) is None
+    assert _newton_tail(V, b, b / V.mean(axis=1), DEFAULT_TOL, np.inf)[0] is None
+    eq = solve_sample_eg(market)
+    pr = solve_sample_eg(market, method="pr")
+    assert eq.certificate.certified and eq.certificate.method == "pr"
+    assert eq.certificate == pr.certificate
+    for field in ("beta", "u", "p", "X", "nsw"):
+        assert np.array_equal(getattr(eq, field), getattr(pr, field)), field
+
+
+def test_repeated_tie_pair_splits_within_supply(monkeypatch):
+    # items 0 and 1 are copies, so buyer pairs that tie on one tie on both;
+    # the min-norm split of their proportional columns overfilled an item
+    # and no route certified this market short of PR's escalated tails
+    g = np.random.default_rng(45)
+    V = g.integers(0, 4, (4, 50)).astype(float)
+    V[g.random((4, 50)) < 0.2] = 0
+    V[:, 1] = V[:, 0]
+    b = g.uniform(0.2, 1, 4)
+    market = FiniteMarket(V=V, budgets=b / b.sum())
+    prs = _count_calls(monkeypatch, "_run_pr")
+    eq = solve_sample_eg(market)
+    assert eq.certificate.certified and eq.certificate.method == "newton" and not prs
+    assert verify_kkt(market, eq).passed
 
 
 @pytest.mark.parametrize("V", [
@@ -556,9 +595,14 @@ def ordered_markets(draw):
 
 
 def _dense_newton(market):
-    """The Newton route with the ordered-pattern step switched off."""
+    """The Newton route with the ordered-pattern step and the PR fallback
+    switched off: the smoothed tail alone, uncertified where it is."""
+    def no_pr(V, b, tol, max_iter, cap):
+        return (b, b, 0.0 * V, None, np.inf), 0, False
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(finite, "_ordered_pattern", lambda V, b, tol: None)
+        m.setattr(finite, "_run_pr", no_pr)
         return solve_sample_eg(market, method="newton")
 
 
