@@ -277,9 +277,12 @@ def _attempt_pattern(V, b, bids, top, tie_rtol, tol, cap):
 def _pattern_solve(V, b, winmask, tol, cap):
     """The exact equilibrium in which buyer i wins item tau where
     winmask[i, tau] is set, or None if that pattern does not certify.
+    Returns (beta, u, X, delta, gap, p), p the prices at beta.
 
     Tie edges (i, tau, i0) join each other winner i of a tied item tau
-    to its lowest-index winner i0, item-major.
+    to its lowest-index winner i0, item-major.  A component that wins
+    nothing sits at the cap; with no cap (linear buyers) the pattern is
+    rejected.
     """
     n, t = V.shape
     s = 1.0 / t
@@ -287,36 +290,39 @@ def _pattern_solve(V, b, winmask, tol, cap):
     tied_items = np.flatnonzero(nwin > 1)
     strict_items = np.flatnonzero(nwin == 1)
     winner = winmask.argmax(axis=0)
-    k, i = np.nonzero(winmask[:, tied_items].T)
-    tau = tied_items[k]
-    i0 = winner[tau]
-    edge = i != i0
-    i, tau, i0 = i[edge], tau[edge], i0[edge]
-
-    forest = _tie_forest(V, i, tau, i0)
-    if forest is None:
-        return None
-    comp, off = forest
-    ncomp = int(comp.max()) + 1
-
     ws, wt = winner[strict_items], winner[tied_items]
-    wload = np.zeros(n)
-    np.add.at(wload, ws, V[ws, strict_items] * s)
+    if len(tied_items):
+        k, i = np.nonzero(winmask[:, tied_items].T)
+        tau = tied_items[k]
+        i0 = winner[tau]
+        edge = i != i0
+        i, tau, i0 = i[edge], tau[edge], i0[edge]
+        forest = _tie_forest(V, i, tau, i0)
+        if forest is None:
+            return None
+        comp, off = forest
+        ncomp = int(comp.max()) + 1
+    else:
+        # no edges: every buyer is its own tree
+        comp, off, ncomp = np.arange(n), np.zeros(n), n
 
+    vs = V[ws, strict_items]
+    wload = np.bincount(ws, vs * s, minlength=n)
     # on the tie manifold the max-of-bids part is linear in exp(y_c):
-    # sum over items won by component c of V_w * exp(off_w) * exp(y_c) / t
-    C = np.zeros(ncomp)
-    np.add.at(C, comp[ws], V[ws, strict_items] * np.exp(off[ws]) * s)
-    np.add.at(C, comp[wt], V[wt, tied_items] * np.exp(off[wt]) * s)
-    Bc = np.zeros(ncomp)
-    np.add.at(Bc, comp, b)
-    if np.any(C <= 0):
+    # sum over items won by component c of V_w * exp(off_w) * exp(y_c) / t,
+    # strict items first, then tied ones
+    C = np.bincount(np.concatenate((comp[ws], comp[wt])),
+                    np.concatenate((vs * np.exp(off[ws]) * s,
+                                    V[wt, tied_items] * np.exp(off[wt]) * s)), minlength=ncomp)
+    Bc = np.bincount(comp, b, minlength=ncomp)
+    if np.isinf(cap) and np.any(C <= 0):
         return None
 
-    # cap: beta_i = exp(off_i + y_c) <= cap for all i in the component
+    # cap: beta_i = exp(off_i + y_c) <= cap for all i in the component;
+    # a component that wins nothing (C = 0) sits at it, y = ybar
     ybar = np.full(ncomp, np.inf)
     np.minimum.at(ybar, comp, np.log(cap) - off)
-    y = np.minimum(np.log(Bc / C), ybar)
+    y = np.minimum(np.log(np.divide(Bc, C, out=np.full(ncomp, np.inf), where=C > 0)), ybar)
     beta_new = np.minimum(np.exp(off + y[comp]), cap)
 
     # the pattern must still hold at the refit multipliers
@@ -346,7 +352,7 @@ def _pattern_solve(V, b, winmask, tol, cap):
     gap = _gap(V, b, beta_new, u, delta)
     if not gap <= tol:
         return None
-    return beta_new, u, X, delta, float(gap)
+    return beta_new, u, X, delta, float(gap), top2
 
 
 def _polish(V, b, beta, tol, cap):
@@ -368,12 +374,15 @@ def _ordered_pattern(V, b, tol):
     """Exact equilibrium of a linear market whose winners are intervals of
     sorted items, or None.
 
-    Items are sorted by log V[n-1] - log V[0].  If V is positive and every
-    adjacent log ratio r_i = log V[i+1] - log V[i] is nondecreasing along
-    that order (log-supermodular V, as 1-D linear values with slopes
-    increasing in the buyer index give), then at every beta each buyer
-    wins one interval of items, in buyer order.  Items with equal columns
-    form one block.  Each neighbour pair i, i+1 either ties on one block k
+    Items are sorted by log V[n-1] - log V[0], by numpy's default sort;
+    only when two keys are equal is the sort redone stably, so that equal
+    keys keep their item order.  If V is positive and every adjacent log
+    ratio r_i = log V[i+1] - log V[i] is nondecreasing along that order
+    (log-supermodular V, as 1-D linear values with slopes increasing in
+    the buyer index give), then at every beta each buyer wins one interval
+    of items, in buyer order.  Items with equal columns form one block;
+    equal columns have equal keys, so with distinct keys every block is
+    one item.  Each neighbour pair i, i+1 either ties on one block k
     (q_i = 2k + 1) or breaks in front of it (q_i = 2k).  _interval_start
     reads q off a relaxed problem, _interval_search moves it to the exact
     pattern, and _pattern_solve, the same solve the polish uses, computes
@@ -383,39 +392,47 @@ def _ordered_pattern(V, b, tol):
     n, t = V.shape
     if n < 2 or not np.all(V > 0):
         return None
-    logV = np.log(V)
-    order = np.argsort(logV[-1] - logV[0], kind="stable")
-    R = np.diff(logV[:, order], axis=0)
-    if np.any(np.diff(R, axis=1) < 0):
+    key = np.log(V[-1]) - np.log(V[0])
+    order = np.argsort(key)
+    ks = key[order]
+    distinct = not (ks[1:] == ks[:-1]).any()
+    if not distinct:
+        order = np.argsort(key, kind="stable")
+    Vs = np.take(V, order, axis=1)  # several times faster than V[:, order] at small n
+    logVs = np.log(Vs)
+    R = logVs[1:] - logVs[:-1]
+    if (R[:, 1:] < R[:, :-1]).any():
         return None
-    Vs = V[:, order]
-    first = np.ones(t, dtype=bool)
-    first[1:] = (Vs[:, 1:] != Vs[:, :-1]).any(axis=0)
-    S = np.flatnonzero(first)  # first sorted item of each block
-    m = np.diff(np.append(S, t))  # items per block
-    Vb = Vs[:, S]
-    # P[i, k]: buyer i's value of the blocks before block k, in items
-    P = np.zeros((n, len(S) + 1))
-    np.cumsum(Vb * m, axis=1, out=P[:, 1:])
-    q = _interval_start(Vb, R[:, S], S, m, P, b)
-    q = None if q is None else _interval_search(Vb, m, P, b, q)
+    if distinct:
+        S, m, Vb, Rb = np.arange(t), np.ones(t, dtype=int), Vs, R
+        P = np.zeros((n, t + 1))
+        np.cumsum(Vs, axis=1, out=P[:, 1:])
+    else:
+        first = np.ones(t, dtype=bool)
+        first[1:] = (Vs[:, 1:] != Vs[:, :-1]).any(axis=0)
+        S = np.flatnonzero(first)  # first sorted item of each block
+        m = np.diff(np.append(S, t))  # items per block
+        Vb, Rb = Vs[:, S], R[:, S]
+        # P[i, k]: buyer i's value of the blocks before block k, in items
+        P = np.zeros((n, len(S) + 1))
+        np.cumsum(Vb * m, axis=1, out=P[:, 1:])
+    q = _interval_start(Vb, Rb, S, m, P, b)
+    q = None if q is None else _interval_search(Vb, Rb, m, P, b, q)
     if q is None:
         return None
     # buyer i wins the sorted items from edge[q_{i-1} // 2] to edge[(q_i + 1) // 2]
     q = np.concatenate(([0], q, [2 * len(S)]))
     edge = np.append(S, t)
-    pos = np.arange(t)
-    winmask = np.empty((n, t), dtype=bool)
-    winmask[:, order] = ((pos >= edge[q[:-1] // 2, None])
-                         & (pos < edge[(q[1:] + 1) // 2, None]))
+    rank = np.empty(t, dtype=int)  # each item's sorted position
+    rank[order] = np.arange(t)
+    winmask = (rank >= edge[q[:-1] // 2, None]) & (rank < edge[(q[1:] + 1) // 2, None])
     res = _pattern_solve(V, b, winmask, tol, np.inf)
     if res is None:
         return None
     # a bid within TIE_LOG_TOL of its item's top passes the tie forest, so
     # the polish, which reads ties off a smoothed beta, mostly ties it;
     # tie it here too, so that both paths mostly split such an item alike
-    bids = res[0][:, None] * V
-    near = winmask | (bids >= bids.max(axis=0) * (1.0 - TIE_LOG_TOL))
+    near = winmask | (res[0][:, None] * V >= res[5] * (1.0 - TIE_LOG_TOL))
     if np.array_equal(near, winmask):
         return res
     return _pattern_solve(V, b, near, tol, np.inf) or res
@@ -438,16 +455,19 @@ def _interval_start(Vb, Rb, S, m, P, b):
     t = int(m.sum())
     rows = np.arange(n)
     mid = S + 0.5 * m
+    S = S.astype(float)  # else searchsorted converts it on every call
+    ends = np.empty(n + 1)
+    ends[0], ends[-1] = 0.0, t
 
     def state(a):
-        def prefix(x):  # U_i(x) and U_i'(x) at one position per buyer
-            k = np.clip(np.searchsorted(S, x, side="right") - 1, 0, nb - 1)
-            return P[rows, k] + (x - S[k]) * Vb[rows, k], Vb[rows, k]
-
-        ends = np.concatenate(([0.0], a, [float(t)]))
-        U_lo, v_lo = prefix(ends[:-1])
-        U_hi, v_hi = prefix(ends[1:])
-        w = U_hi - U_lo
+        # U_i and U_i' at both ends of each buyer's interval
+        ends[1:-1] = a
+        k = np.searchsorted(S, ends, side="right") - 1
+        np.minimum(np.maximum(k, 0, out=k), nb - 1, out=k)
+        k_lo, k_hi = k[:-1], k[1:]
+        v_lo, v_hi = Vb[rows, k_lo], Vb[rows, k_hi]
+        U_lo = P[rows, k_lo] + (ends[:-1] - S[k_lo]) * v_lo
+        w = P[rows, k_hi] + (ends[1:] - S[k_hi]) * v_hi - U_lo
         h = np.searchsorted(mid, a)
         h0, h1 = np.maximum(h - 1, 0), np.minimum(h, nb - 1)
         span = mid[h1] - mid[h0]
@@ -470,26 +490,26 @@ def _interval_start(Vb, Rb, S, m, P, b):
     return 2 * np.clip(np.searchsorted(S, a, side="right") - 1, 0, nb - 1) + 1
 
 
-def _interval_search(Vb, m, P, b, q):
+def _interval_search(Vb, Rb, m, P, b, q):
     """Move the pattern q until it is consistent, or None if a move would
     leave a buyer without items, the moves cycle or they run past their
     budget.
 
     From q, beta follows in closed form: ties chain the log-multipliers
-    of a component of tied neighbours, and one scale per component spends
-    its budgets.  A left-to-right sweep then hands each buyer its items:
-    buyer i needs t b_i / beta_i, and on a tie the share of the block left
-    to buyers <= i must lie in [0, m_k], or the tie moves down (below 0)
-    or up.  A break must leave each side its higher bid, or it moves to a
-    tie on the block that side loses.  Each sweep moves the first pair
-    that is off (the far end of its run of equal q, in the direction of
-    the move); a component's scale couples all its pairs, and moving
-    them all at once can cycle.
+    of a component of tied neighbours (Rb holds the adjacent log ratios
+    of the blocks), and one scale per component spends its budgets.  A
+    left-to-right sweep then hands each buyer its items: buyer i needs
+    t b_i / beta_i, and on a tie the share of the block left to buyers
+    <= i must lie in [0, m_k], or the tie moves down (below 0) or up.  A
+    break must leave each side its higher bid, or it moves to a tie on
+    the block that side loses.  Each sweep moves the first pair that is
+    off (the far end of its run of equal q, in the direction of the
+    move); a component's scale couples all its pairs, and moving them all
+    at once can cycle.
     """
     n, nb = Vb.shape
     t = int(m.sum())
     rows = np.arange(n - 1)
-    logVb = np.log(Vb)
     seen = set()
     for _ in range(4 * n + 20):
         if q.tobytes() in seen:
@@ -502,7 +522,7 @@ def _interval_search(Vb, m, P, b, q):
         W = P[np.arange(n), np.maximum(hi, lo)] - P[np.arange(n), lo]  # strict items
         # log-multiplier offsets from the first buyer of each component
         comp = np.concatenate(([0], np.cumsum(~tie)))
-        ratio = np.where(tie, logVb[rows, k] - logVb[rows + 1, k], 0.0)
+        ratio = np.where(tie, -Rb[rows, k], 0.0)
         off = np.concatenate(([0.0], np.cumsum(ratio)))
         off -= off[np.flatnonzero(np.concatenate(([True], ~tie)))][comp]
         eo = np.exp(off)
@@ -731,15 +751,14 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
     escalated = False
     if method == "pr":
         res, iters, escalated = _run_pr(V, b, tol, max_iter, cap)
+    elif method not in ("newton", "subgradient"):
+        raise ValueError(f"unknown method {method!r}")
     else:
-        if method == "subgradient":
-            beta0, iters = _subgradient_start(market, cap), SUBGRADIENT_ITERS
-        elif method == "newton":
-            beta0, iters = np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap), 0
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        iters = SUBGRADIENT_ITERS if method == "subgradient" else 0
         res = _ordered_pattern(V, b, tol) if method == "newton" and np.isinf(cap) else None
         if res is None:
+            beta0 = (_subgradient_start(market, cap) if method == "subgradient"
+                     else np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap))
             res, beta_out = _newton_tail(V, b, beta0, tol, cap)
             if res is None and method == "newton":
                 # PR certifies some small markets with zero values that the tail misses
@@ -747,8 +766,9 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
                 res, iters, escalated = _run_pr(V, b, tol, max_iter, cap)
             elif res is None:
                 res = _best_effort(V, b, beta_out, cap)
-    beta, u, X, delta, gap = res
-    p = (beta[:, None] * V).max(axis=0)
+    beta, u, X, delta, gap, *prices = res
+    # a pattern solve's result carries its prices
+    p = prices[0] if prices else (beta[:, None] * V).max(axis=0)
     money = u if delta is None else u + delta
     with np.errstate(divide="ignore"):
         nsw = float((b * np.log(money)).sum()) if np.all(money > 0) else float("-inf")

@@ -157,7 +157,8 @@ def hessian_numdiff(market: FiniteMarket, beta_hat, eta: float | None = None,
     return H
 
 
-def ci_beta_u(beta_hat, omega2_hat, hessian, b, t: int, alpha: float):
+def ci_beta_u(beta_hat, omega2_hat, hessian, b, t: int, alpha: float,
+              u_hat=None, capped=None):
     """Per-buyer intervals for multipliers and utilities.
 
     With a Hessian estimate, covariances come from the full-score
@@ -167,6 +168,9 @@ def ci_beta_u(beta_hat, omega2_hat, hessian, b, t: int, alpha: float):
     With hessian=None the diagonal plug-in
     Sigma_beta = Diag(Omega^2 beta^4 / b^2), Sigma_u = Diag(Omega^2)
     is used (exact when the smooth part of the dual has zero Hessian).
+    The u intervals are centred at u_hat, b/beta_hat if None.  capped
+    marks quasilinear buyers at the cap: their beta_hat is 1 with
+    probability -> 1, so their beta interval is the point beta_hat.
     Returns (beta_ci, u_ci) as (n, 2) arrays of lower/upper bounds.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
@@ -184,8 +188,10 @@ def ci_beta_u(beta_hat, omega2_hat, hessian, b, t: int, alpha: float):
         var_u = np.diag(sigma_u).copy()
     var_beta = np.maximum(var_beta, 0.0)
     var_u = np.maximum(var_u, 0.0)
+    if capped is not None:
+        var_beta[np.asarray(capped, dtype=bool)] = 0.0
     z = normal_quantile(1.0 - alpha / 2.0)
-    u_hat = b / beta_hat
+    u_hat = b / beta_hat if u_hat is None else np.asarray(u_hat, dtype=float)
     half_beta = z * np.sqrt(var_beta / t)
     half_u = z * np.sqrt(var_u / t)
     beta_ci = np.stack([beta_hat - half_beta, beta_hat + half_beta], axis=1)
@@ -224,8 +230,10 @@ def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.0
 
     use_hessian=True estimates the dual Hessian by numerical
     differences and runs the sandwich intervals; the default uses the
-    diagonal plug-in.  The sandwich needs every quasilinear buyer below
-    the cap and raises ValueError naming the buyers at it.  For
+    diagonal plug-in, which gives quasilinear buyers at the cap the
+    point interval beta = 1 and centres every quasilinear u interval at
+    u_hat.  The sandwich needs every quasilinear buyer below the cap and
+    raises ValueError naming the buyers at it.  For
     quasilinear markets the report centers on revenue: nsw_hat is the
     welfare of the money-metric utilities u + delta (eq.nsw) and its
     interval is degenerate (the price-variance estimator needs unit
@@ -242,8 +250,12 @@ def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.0
     if use_hessian:
         _require_below_cap(eq.beta, eq.delta)
         hessian_hat = hessian_numdiff(market, eq.beta, eta)
+    # at the cap u_i = b_i - delta_i, not b_i / beta_i: a quasilinear
+    # report centres its u intervals at its own u_hat
     beta_ci, u_ci = ci_beta_u(eq.beta, omega2_hat, hessian_hat,
-                              market.budgets, market.t, alpha)
+                              market.budgets, market.t, alpha,
+                              u_hat=eq.u if qlin else None,
+                              capped=eq.beta >= 1.0 - 1e-12 if qlin else None)
     if qlin:
         sigma2_hat = 0.0
         nsw_ci = (nsw_hat, nsw_hat)

@@ -311,7 +311,7 @@ def _breakpoint_newton(state, newton_step, a, hi):
         s = 1.0
         while s > 1e-10:
             cand = a + s * step
-            if cand[0] > 0.0 and cand[-1] < hi and np.all(np.diff(cand) > 0):
+            if cand[0] > 0.0 and cand[-1] < hi and (cand[1:] > cand[:-1]).all():
                 new = state(cand)
                 new_res = np.abs(new[0]).max()
                 if new_res < res:

@@ -245,6 +245,8 @@ def sample_items(spec: LongRunSpec, t: int, seed: int) -> FiniteMarket:
 # A draw of n sorted slopes on (-1.8, 1.8) has every gap above 1e-3 with
 # probability (1 - (n - 1) 1e-3 / 3.6)^n; past this n it is below 1e-6.
 _RANDOM_SPEC_MAX_N = 220
+# Most slope draws random_linear1d_spec makes at once.
+_SLOPE_CHUNK = 1024
 
 
 def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongRunSpec:
@@ -256,7 +258,9 @@ def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongR
     [0, 1] and the intercepts strictly decreasing.  Budgets are uniform
     around 1/n and renormalized.  The slopes are redrawn until they are
     separated, so n is capped at 220, where a draw still passes with
-    probability 1e-6.
+    probability 1e-6.  The draws come in chunks of rows, one row first,
+    then twice as many each time; the stream is then replayed up to the
+    first separated row, so the spec is the one a row-by-row draw gives.
     """
     if n < 1:
         raise ValueError("need at least one buyer")
@@ -264,10 +268,19 @@ def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongR
         raise ValueError(f"random_linear1d_spec supports at most {_RANDOM_SPEC_MAX_N} "
                          f"buyers (got {n}): slope draws would almost never be separated")
     gen = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED))
+    rows = 1
     while True:
-        c = np.sort(gen.uniform(-1.8, 1.8, size=n))
-        if n == 1 or np.diff(c).min() > 1e-3:
+        state = gen.bit_generator.state
+        C = np.sort(gen.uniform(-1.8, 1.8, size=(rows, n)), axis=1)
+        ok = np.flatnonzero(np.diff(C, axis=1).min(axis=1, initial=np.inf) > 1e-3)
+        if ok.size:
             break
+        rows = min(2 * rows, _SLOPE_CHUNK)
+    c = C[ok[0]]
+    if ok[0] < rows - 1:
+        # leave the stream just past the separated row, for the budgets
+        gen.bit_generator.state = state
+        gen.uniform(size=(ok[0] + 1) * n)
     d = 1.0 - c / 2.0
     b = gen.uniform(1.0 - budget_spread, 1.0 + budget_spread, size=n)
     b = b / b.sum()

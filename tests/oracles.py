@@ -141,6 +141,18 @@ def descent_longrun(spec, cap, beta0, tol=1e-10, max_iter=500):
     return beta, float(_projected_residual(beta, g, cap).max())
 
 
+def random_linear1d_draw(n, seed, budget_spread=0.5):
+    """(c, b) of markets.random_linear1d_spec drawn row by row: redraw all n
+    slopes until their sorted gaps exceed 1e-3, then draw the budgets."""
+    gen = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED))
+    while True:
+        c = np.sort(gen.uniform(-1.8, 1.8, size=n))
+        if n == 1 or np.diff(c).min() > 1e-3:
+            break
+    b = gen.uniform(1.0 - budget_spread, 1.0 + budget_spread, size=n)
+    return c, b / b.sum()
+
+
 def mc_quadrature(fun, n_samples, seed):
     """Monte Carlo mean and stderr of fun(theta) for theta ~ U[0, 1]."""
     gen = np.random.default_rng(seed)
@@ -419,13 +431,16 @@ def _attempt_pattern(V, b, beta, tie_rtol, tol, cap):
         np.add.at(C, comp[rep], V[rep, tied_items] * np.exp(off[rep]) * s)
     Bc = np.zeros(ncomp)
     np.add.at(Bc, comp, b)
-    if np.any(C <= 0):
+    if np.isinf(cap) and np.any(C <= 0):
         return None
 
-    # cap: beta_i = exp(off_i + y_c) <= cap for all i in the component
+    # cap: beta_i = exp(off_i + y_c) <= cap for all i in the component;
+    # a component that wins nothing sits at the cap
     ybar = np.full(ncomp, np.inf)
     np.minimum.at(ybar, comp, np.log(cap) - off)
-    y = np.minimum(np.log(Bc / C), ybar)
+    y = ybar.copy()
+    won = C > 0
+    y[won] = np.minimum(np.log(Bc[won] / C[won]), ybar[won])
     beta_new = np.minimum(np.exp(off + y[comp]), cap)
 
     # the pattern must still hold at the refit multipliers

@@ -121,6 +121,16 @@ def test_qlin_all_buyers_capped_on_a_tied_item(method):
     assert verify_kkt(m, eq).passed
 
 
+def test_qlin_buyer_that_wins_nothing_sits_at_the_cap():
+    # buyer 0 wins neither item and keeps its budget at beta = 1; a pattern
+    # solve that rejected such a component ran PR for its whole budget here
+    m = _random_market(4, 2, 1350999467)
+    eq = solve_sample_qeg(m)
+    assert eq.certificate.certified and eq.certificate.iterations <= 1_000
+    assert eq.beta[0] == 1.0 and eq.u[0] == 0.0
+    assert verify_kkt(m, eq).passed
+
+
 def test_solver_rejects_zero_value_buyer():
     V = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
@@ -578,6 +588,13 @@ def _crossing_lines():
                        supply=Uniform01Supply())
 
 
+def _copy_items(market, seed):
+    # t items drawn from the market's t with repeats: copied items have
+    # equal columns, so equal sort keys and blocks of several items
+    idx = np.random.default_rng(seed).integers(0, market.t, size=market.t)
+    return FiniteMarket(V=market.V[:, idx], budgets=market.budgets)
+
+
 @st.composite
 def ordered_markets(draw):
     """Sampled 1-D linear markets: n 1-8 or 50, t 1-300 with t <= n often,
@@ -589,8 +606,7 @@ def ordered_markets(draw):
     t = draw(st.integers(1, 300) | st.integers(1, spec.n + 1))
     market = sample_items(spec, t, draw(seeds))
     if t > 1 and draw(st.booleans()):
-        idx = np.random.default_rng(draw(seeds)).integers(0, t, size=t)
-        market = FiniteMarket(V=market.V[:, idx], budgets=market.budgets)
+        market = _copy_items(market, draw(seeds))
     return market
 
 
@@ -625,6 +641,10 @@ def _near_tie(market, beta):
 @given(market=ordered_markets())
 # a run of pairs with equal q blocked the first off pair's move here
 @example(market=sample_items(random_linear1d_spec(50, 0), 2, seed=1))
+# both branches of each shortcut of _ordered_pattern on every run: equal
+# sort keys (stable re-sort, blocks of several items), and distinct keys
+@example(market=_copy_items(sample_items(random_linear1d_spec(5, 7), 40, seed=3), 3))
+@example(market=sample_items(_crossing_lines(), 300, seed=4))
 @settings(max_examples=200, deadline=None)
 def test_ordered_pattern_matches_dense_newton(market):
     dense = _dense_newton(market)
@@ -712,9 +732,7 @@ def test_ordered_pattern_falls_back_when_the_search_fails(monkeypatch):
 def _copied_items():
     # 68 items drawn from 68 with repeats: blocks shared by three buyers;
     # moving every pair that is off at once cycles on this market
-    m = sample_items(random_linear1d_spec(50, 73), 68, seed=73)
-    idx = np.random.default_rng(73).integers(0, 68, size=68)
-    return FiniteMarket(V=m.V[:, idx], budgets=m.budgets)
+    return _copy_items(sample_items(random_linear1d_spec(50, 73), 68, seed=73), 73)
 
 
 @pytest.mark.parametrize("make", [

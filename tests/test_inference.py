@@ -5,6 +5,7 @@ Population quantities for the symmetric two-buyer market (sigma_N^2 =
 oracles for the sampled estimators at large t.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -433,6 +434,21 @@ def test_build_report_quasilinear(symmetric_spec):
     mu = eq.u + eq.delta
     assert rep.nsw_hat == pytest.approx(float((market.budgets * np.log(mu)).sum()),
                                         abs=1e-12)
+
+
+def test_build_report_quasilinear_cap_diagonal_plugin(symmetric_spec):
+    # b = (0.8, 0.6) on the crossing lines: buyer 0 sits at the cap and
+    # keeps delta_0 > 0, so u_0 = b_0 - delta_0 < b_0 / beta_0 = 0.8
+    spec = dataclasses.replace(symmetric_spec, budgets=np.array([0.8, 0.6]))
+    market = sample_items(spec, t=2000, seed=1)
+    eq = solve_sample_qeg(market)
+    assert eq.beta[0] == 1.0 and eq.beta[1] < 1.0 and eq.delta[0] > 0.0
+    rep = build_report(market, eq)
+    assert np.array_equal(rep.beta_ci[0], [1.0, 1.0])
+    assert rep.beta_ci[1, 0] < eq.beta[1] < rep.beta_ci[1, 1]
+    assert np.allclose(rep.u_ci.mean(axis=1), eq.u, rtol=0.0, atol=1e-15)
+    assert rep.u_ci[0].mean() == pytest.approx(0.7979, abs=1e-4)
+    assert rep.u_ci[0, 0] < rep.u_ci[0, 1]
 
 
 def test_build_report_hessian_rejects_quasilinear_cap():

@@ -29,6 +29,7 @@ from fisher_infer.markets import (
     spec_to_dict,
 )
 
+import oracles
 from conftest import _box_point, _random_market
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -264,6 +265,18 @@ def test_random_spec_reproducible():
     b = random_linear1d_spec(4, seed=9)
     assert np.array_equal(a.valuation.c, b.valuation.c)
     assert np.array_equal(a.budgets, b.budgets)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 120, 180, 200])
+def test_random_spec_chunked_draw_matches_row_by_row_draw(n):
+    # the chunked draw replays the stream up to the first separated row,
+    # so slopes and budgets are those of the row-by-row loop
+    for seed in range(3):
+        spec = random_linear1d_spec(n, seed, budget_spread=0.3)
+        c, b = oracles.random_linear1d_draw(n, seed, budget_spread=0.3)
+        assert np.array_equal(spec.valuation.c, c)
+        assert np.array_equal(spec.valuation.d, 1.0 - c / 2.0)
+        assert np.array_equal(spec.budgets, b)
 
 
 def test_random_spec_rejects_an_n_it_cannot_draw(monkeypatch):
