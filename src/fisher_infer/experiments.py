@@ -25,7 +25,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -177,7 +176,12 @@ def _replication(args) -> ReplicationResult:
 
 def _worker_cap(njobs: int) -> int:
     env = os.environ.get("FISHER_INFER_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"FISHER_INFER_THREADS must be a positive integer, got {env!r}")
     return max(1, min(cap, njobs))
 
 
@@ -188,6 +192,9 @@ def _run_jobs(jobs: list) -> np.recarray:
     if workers == 1:
         results = [_replication(j) for j in jobs]
     else:
+        # imported here: it pulls in multiprocessing, logging and socket,
+        # which a process that never starts a pool does not need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication, jobs,
                                     chunksize=max(1, len(jobs) // (4 * workers))))

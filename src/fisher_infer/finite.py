@@ -56,6 +56,9 @@ POLISH_GAPS = 12
 POLISH_FROM_STAGE = 5
 # Largest log-gap between tied bids that a tie pattern accepts.
 TIE_LOG_TOL = 1e-9
+# The ordered-pattern start stops Newton once a step would move no
+# breakpoint by this many items, and reads its pattern after that step.
+INTERVAL_SETTLE = 0.25
 # PR iterations before escalating to the smoothed Newton tail.
 ESCALATE_AFTER = 4_000
 # Subgradient warmup iterations before the Newton tail.
@@ -230,13 +233,13 @@ def _split_tied_supply(V, i, tau, i0, tied_items, ref, targets, s, capped, X):
     np.subtract.at(d, ref, V[ref, tied_items] * s)
     keep = ~capped
     _, first, pair = np.unique(i * n + i0, return_index=True, return_inverse=True)
-    unknowns = [np.arange(len(i))]
+    edges = np.arange(len(i))
+    unknowns = [(edges, edges)]  # (each edge's unknown, the first edge of each)
     if len(first) < len(i):
         rank = np.empty(len(first), dtype=int)  # pairs numbered by their first edge
-        rank[np.argsort(first)] = np.arange(len(first))
-        unknowns.append(rank[pair.ravel()])
-    for col in unknowns:
-        lead = np.unique(col, return_index=True)[1]  # first edge of each unknown
+        rank[np.argsort(first)] = edges[:len(first)]
+        unknowns.append((rank[pair.ravel()], np.sort(first)))
+    for col, lead in unknowns:
         A = np.zeros((n, len(lead)))
         k = np.arange(len(lead))
         A[i[lead], k] = V[i[lead], tau[lead]]
@@ -286,10 +289,14 @@ def _pattern_solve(V, b, winmask, tol, cap):
     """
     n, t = V.shape
     s = 1.0 / t
-    nwin = winmask.sum(axis=0)
+    # reductions over buyers in the smallest integer type that holds 0..n:
+    # the lowest-index winner of an item is n less the largest n - i over
+    # its winners (argmax along axis 0 is several times slower)
+    small = np.min_scalar_type(n)
+    nwin = winmask.sum(axis=0, dtype=small)
     tied_items = np.flatnonzero(nwin > 1)
     strict_items = np.flatnonzero(nwin == 1)
-    winner = winmask.argmax(axis=0)
+    winner = n - (winmask * (n - np.arange(n, dtype=small))[:, None]).max(axis=0).astype(np.intp)
     ws, wt = winner[strict_items], winner[tied_items]
     if len(tied_items):
         k, i = np.nonzero(winmask[:, tied_items].T)
@@ -306,7 +313,8 @@ def _pattern_solve(V, b, winmask, tol, cap):
         # no edges: every buyer is its own tree
         comp, off, ncomp = np.arange(n), np.zeros(n), n
 
-    vs = V[ws, strict_items]
+    strict = ws * t + strict_items  # flat indices of the strict wins
+    vs = V.ravel()[strict]
     wload = np.bincount(ws, vs * s, minlength=n)
     # on the tie manifold the max-of-bids part is linear in exp(y_c):
     # sum over items won by component c of V_w * exp(off_w) * exp(y_c) / t,
@@ -326,14 +334,13 @@ def _pattern_solve(V, b, winmask, tol, cap):
     beta_new = np.minimum(np.exp(off + y[comp]), cap)
 
     # the pattern must still hold at the refit multipliers
-    bids2 = beta_new[:, None] * V
-    top2 = bids2.max(axis=0)
-    if np.any(bids2[ws, strict_items] < top2[strict_items] * (1.0 - 1e-12)):
+    top2 = (beta_new[:, None] * V).max(axis=0)
+    if np.any(beta_new[ws] * vs < top2[strict_items] * (1.0 - 1e-12)):
         return None
 
     capped = beta_new >= cap - 1e-12
     X = np.zeros((n, t))
-    X[ws, strict_items] = s
+    X.ravel()[strict] = s
     if len(tied_items) and not _split_tied_supply(
             V, i, tau, i0, tied_items, wt, b / beta_new - wload, s, capped, X):
         return None
@@ -449,45 +456,45 @@ def _interval_start(Vb, Rb, S, m, P, b):
     midpoints so that the conditions F_i are continuous.  F_i involves
     a_{i-1}, a_i and a_{i+1} only: damped Newton on a tridiagonal
     system from a_i = i t / n, by the loop longrun._pinned_partition
-    uses.  Each a_i then becomes a tie on the block that holds it.
+    uses, until a step would move no a_i by INTERVAL_SETTLE items, which
+    settles the block that holds each.  Each a_i then becomes a tie on
+    its block, and _interval_search does the rest.
     """
     n, nb = Vb.shape
-    t = int(m.sum())
-    rows = np.arange(n)
-    mid = S + 0.5 * m
+    t = int(S[-1] + m[-1])
     S = S.astype(float)  # else searchsorted converts it on every call
-    ends = np.empty(n + 1)
-    ends[0], ends[-1] = 0.0, t
+    # the midpoints padded by one point on either side of [0, t], where r
+    # takes its end values (col: the block of each point): every a_i lies
+    # strictly inside a segment, and r is flat outside the midpoints
+    mid = np.concatenate(([-1.0], S + 0.5 * m, [t + 1.0]))
+    col = np.concatenate(([0], np.arange(nb), [nb - 1]))
+    rows = np.arange(n - 1)
+    pair = rows + np.array([[0], [1]])  # buyers i and i + 1 meet at a_i
+    ends = np.array([[1], [0]])  # a segment's two ends, from its upper one
+    U_hi, U_lo = np.empty(n), np.empty(n)  # U_i at a_i and at a_{i-1}
+    U_hi[-1], U_lo[0] = P[-1, -1], 0.0
 
     def state(a):
-        # U_i and U_i' at both ends of each buyer's interval
-        ends[1:-1] = a
-        k = np.searchsorted(S, ends, side="right") - 1
-        np.minimum(np.maximum(k, 0, out=k), nb - 1, out=k)
-        k_lo, k_hi = k[:-1], k[1:]
-        v_lo, v_hi = Vb[rows, k_lo], Vb[rows, k_hi]
-        U_lo = P[rows, k_lo] + (ends[:-1] - S[k_lo]) * v_lo
-        w = P[rows, k_hi] + (ends[1:] - S[k_hi]) * v_hi - U_lo
-        h = np.searchsorted(mid, a)
-        h0, h1 = np.maximum(h - 1, 0), np.minimum(h, nb - 1)
-        span = mid[h1] - mid[h0]
-        r0, r1 = Rb[rows[:-1], h0], Rb[rows[:-1], h1]
-        slope = np.divide(r1 - r0, span, out=np.zeros(n - 1), where=span > 0)
+        k = S.searchsorted(a, "right") - 1  # the block that holds a_i
+        v = Vb[pair, k]
+        U_hi[:-1], U_lo[1:] = P[pair, k] + (a - S[k]) * v
+        w = U_hi - U_lo
+        h = mid.searchsorted(a) - ends
+        r, x = Rb[rows, col[h]], mid[h]
+        slope = (r[1] - r[0]) / (x[1] - x[0])
         z = np.log(b / w)  # log beta up to a common constant
-        return z[:-1] - z[1:] - (r0 + slope * (a - mid[h0])), w, v_lo, v_hi, slope
+        return z[:-1] - z[1:] - (r[0] + slope * (a - x[0])), w, v, slope
 
     def newton_step(st):
-        F, w, v_lo, v_hi, slope = st
-        diag = -v_hi[:-1] / w[:-1] - v_lo[1:] / w[1:] - slope
-        step = _solve_tridiagonal(diag, (v_hi / w)[1:-1], -F, (v_lo / w)[1:-1])
-        # converged to far below one item (or NaN): the search does the rest
-        return step if np.abs(step).max() > 1e-9 else None
+        F, w, v, slope = st
+        g_hi, g_lo = v[0] / w[:-1], v[1] / w[1:]
+        return _solve_tridiagonal(-g_hi - g_lo - slope, g_hi[1:], -F, g_lo[:-1])
 
-    found = _breakpoint_newton(state, newton_step, np.arange(1, n) * (t / n), float(t))
-    if found is None:
+    a = _breakpoint_newton(state, newton_step, np.arange(1, n) * (t / n), float(t),
+                           settle=INTERVAL_SETTLE)
+    if a is None:
         return None
-    a = found[0]
-    return 2 * np.clip(np.searchsorted(S, a, side="right") - 1, 0, nb - 1) + 1
+    return 2 * (S.searchsorted(a, "right") - 1) + 1
 
 
 def _interval_search(Vb, Rb, m, P, b, q):
@@ -495,66 +502,64 @@ def _interval_search(Vb, Rb, m, P, b, q):
     leave a buyer without items, the moves cycle or they run past their
     budget.
 
-    From q, beta follows in closed form: ties chain the log-multipliers
-    of a component of tied neighbours (Rb holds the adjacent log ratios
-    of the blocks), and one scale per component spends its budgets.  A
-    left-to-right sweep then hands each buyer its items: buyer i needs
-    t b_i / beta_i, and on a tie the share of the block left to buyers
-    <= i must lie in [0, m_k], or the tie moves down (below 0) or up.  A
-    break must leave each side its higher bid, or it moves to a tie on
-    the block that side loses.  Each sweep moves the first pair that is
-    off (the far end of its run of equal q, in the direction of the
-    move); a component's scale couples all its pairs, and moving them all
-    at once can cycle.
+    From q, beta follows in closed form (_pattern_multipliers): ties
+    chain the log-multipliers of a component of tied neighbours (Rb holds
+    the adjacent log ratios of the blocks), and one scale per component
+    spends its budgets.  A left-to-right sweep then hands each buyer its
+    items: buyer i needs t b_i / beta_i, and on a tie the share of the
+    block left to buyers <= i must lie in [0, m_k], or the tie moves
+    down (below 0) or up.  A break must leave each side its higher bid,
+    or it moves to a tie on the block that side loses.  Each sweep moves
+    the first pair that is off (the far end of its run of equal q, in
+    the direction of the move); a component's scale couples all its
+    pairs, and moving them all at once can cycle.
     """
     n, nb = Vb.shape
     t = int(m.sum())
-    rows = np.arange(n - 1)
+    rows, buyers, budget = np.arange(n - 1), np.arange(n), b.tolist()
+    # q between two fixed ends, so that buyer i's strict blocks run from
+    # (q_{i-1} + 1) // 2 up to q_i // 2: q_{-1} = -1, q_{n-1} = 2 nb
+    qe = np.concatenate(([-1], q, [2 * nb]))
+    q = qe[1:-1]
     seen = set()
     for _ in range(4 * n + 20):
-        if q.tobytes() in seen:
+        ql = q.tolist()
+        if tuple(ql) in seen:
             return None
-        seen.add(q.tobytes())
-        tie = q % 2 == 1
+        seen.add(tuple(ql))
         k = q // 2  # the tied block, or the block after the break
-        lo = np.concatenate(([0], (q + 1) // 2))
-        hi = np.concatenate((k, [nb]))
-        W = P[np.arange(n), np.maximum(hi, lo)] - P[np.arange(n), lo]  # strict items
-        # log-multiplier offsets from the first buyer of each component
-        comp = np.concatenate(([0], np.cumsum(~tie)))
-        ratio = np.where(tie, -Rb[rows, k], 0.0)
-        off = np.concatenate(([0.0], np.cumsum(ratio)))
-        off -= off[np.flatnonzero(np.concatenate(([True], ~tie)))][comp]
-        eo = np.exp(off)
-        C = np.bincount(comp, eo * W)
-        # each tied block once, also when three or more buyers share it
-        once = tie & ~np.concatenate(([False], tie[:-1] & (q[1:] == q[:-1])))
-        C += np.bincount(comp[:-1][once], (eo[:-1] * Vb[rows, k] * m[k])[once], len(C))
-        beta = eo * (t * np.bincount(comp, b) / C)[comp]
-        need = t * b / beta
+        lo = (qe[:-1] + 1) // 2
+        W = (P[buyers, np.maximum(qe[1:] // 2, lo)] - P[buyers, lo]).tolist()  # strict items
+        found = _pattern_multipliers(ql, W, Rb[rows, k].tolist(), Vb[rows, k].tolist(),
+                                     m[k].tolist(), budget, t)
+        if found is None:
+            return None
+        bl, need = found
         left = 0.0  # share of pair i-1's tied block left to buyers <= i-1
         for i in range(n - 1):
-            ki = k[i]
-            if tie[i]:
+            qi = ql[i]
+            ki = qi // 2
+            if qi % 2:
                 rem = need[i] - W[i]
-                if i and tie[i - 1]:
-                    if q[i - 1] == q[i]:
+                if i and ql[i - 1] % 2:
+                    if ql[i - 1] == qi:
                         rem += Vb[i, ki] * left
                     else:
-                        rem -= Vb[i, k[i - 1]] * (m[k[i - 1]] - left)
+                        kp = ql[i - 1] // 2
+                        rem -= Vb[i, kp] * (m[kp] - left)
                 left = rem / Vb[i, ki]
                 step = -1 if left < 0 else int(left > m[ki])
-            elif beta[i] * Vb[i, ki - 1] < beta[i + 1] * Vb[i + 1, ki - 1]:  # 1 <= ki < nb
+            elif bl[i] * Vb[i, ki - 1] < bl[i + 1] * Vb[i + 1, ki - 1]:  # 1 <= ki < nb
                 step = -1
             else:
-                step = int(beta[i + 1] * Vb[i + 1, ki] < beta[i] * Vb[i, ki])
+                step = int(bl[i + 1] * Vb[i + 1, ki] < bl[i] * Vb[i, ki])
             if step:
                 # a run of pairs with equal q blocks the move: its far end moves
-                while 0 <= i + step <= n - 2 and q[i + step] == q[i]:
+                while 0 <= i + step <= n - 2 and ql[i + step] == qi:
                     i += step
-                new = q[i] + step
-                lo_q = q[i - 1] if i else 1
-                hi_q = q[i + 1] if i < n - 2 else 2 * nb - 1
+                new = qi + step
+                lo_q = ql[i - 1] if i else 1
+                hi_q = ql[i + 1] if i < n - 2 else 2 * nb - 1
                 # a buyer between two equal q only has items if they tie
                 if not (lo_q <= new <= hi_q and (new % 2 or lo_q < new < hi_q)):
                     return None
@@ -563,6 +568,48 @@ def _interval_search(Vb, Rb, m, P, b, q):
         else:
             return q
     return None
+
+
+def _pattern_multipliers(q, W, r, v, mk, b, t):
+    """(beta, t b / beta) of the ordered pattern q, as lists, or None if
+    a multiplier underflows to zero.
+
+    W[i] is buyer i's value of its strict blocks (in items); r[i], v[i]
+    and mk[i] are pair i's log ratio Rb, buyer i's value Vb and the
+    item count m at block q_i // 2.  Ties chain the log-multipliers of a
+    component of tied neighbours, log beta_{i+1} = log beta_i - r_i, and
+    one scale per component spends its budgets on its strict blocks and
+    on each tied block once (also when three or more buyers share it).
+    Lists, because at small n a numpy call costs more than its
+    arithmetic; each float operation is numpy's, in numpy's order (cumsum
+    and bincount add left to right), so beta has the bits of the array
+    form in tests/oracles.py.
+    """
+    n = len(b)
+    # comp numbers the components; off is each buyer's log-multiplier
+    # offset from its component's first buyer, at which cum was base
+    comp, cum, base, off = [0], 0.0, [0.0], [0.0]
+    for i in range(n - 1):
+        cum += -r[i] if q[i] % 2 else 0.0
+        if not q[i] % 2:
+            base.append(cum)
+        comp.append(len(base) - 1)
+        off.append(cum - base[-1])
+    eo = np.exp(off).tolist()
+    # per component: strict blocks C, tied blocks D and budgets B
+    C, D, B = [0.0] * len(base), [0.0] * len(base), [0.0] * len(base)
+    for i in range(n):
+        C[comp[i]] += eo[i] * W[i]
+        B[comp[i]] += b[i]
+    for i in range(n - 1):
+        if q[i] % 2 and not (i and q[i - 1] == q[i]):
+            D[comp[i]] += eo[i] * v[i] * mk[i]
+    try:
+        scale = [t * B[c] / (C[c] + D[c]) for c in range(len(base))]
+        beta = [eo[i] * scale[comp[i]] for i in range(n)]
+        return beta, [t * b[i] / beta[i] for i in range(n)]
+    except ZeroDivisionError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +817,7 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
     # a pattern solve's result carries its prices
     p = prices[0] if prices else (beta[:, None] * V).max(axis=0)
     money = u if delta is None else u + delta
-    with np.errstate(divide="ignore"):
-        nsw = float((b * np.log(money)).sum()) if np.all(money > 0) else float("-inf")
+    nsw = float((b * np.log(money)).sum()) if np.all(money > 0) else float("-inf")
     cert = Certificate(duality_gap=gap, certified=bool(gap <= tol), method=method,
                        iterations=iters, escalated=escalated)
     return FiniteEquilibrium(beta=beta, u=u, p=p, X=X, delta=delta, nsw=nsw,

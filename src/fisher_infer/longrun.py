@@ -289,7 +289,7 @@ def _solve_tridiagonal(diag, off, rhs, lower=None):
     return np.array(x)
 
 
-def _breakpoint_newton(state, newton_step, a, hi):
+def _breakpoint_newton(state, newton_step, a, hi, settle=0.0):
     """Damped Newton on breakpoints 0 < a_1 < ... < a_{n-1} < hi.
 
     state(a) is a tuple whose first entry is the residual vector F;
@@ -297,8 +297,14 @@ def _breakpoint_newton(state, newton_step, a, hi):
     Each step backtracks by halving from s = 1 down to 1e-10 and takes
     the first point that keeps the breakpoints strictly increasing
     inside (0, hi) and lowers max|F|; the loop stops when none does, or
-    after 100 steps.  Returns (a, state(a)), or None on a zero pivot.
+    after 100 steps.  A step that moves no breakpoint by more than
+    settle (or is NaN) is the last: it is taken whole if it keeps the
+    breakpoints in order, without evaluating state there.  Returns a,
+    or None on a zero pivot.
     """
+    def in_order(cand):
+        return cand[0] > 0.0 and cand[-1] < hi and (cand[1:] > cand[:-1]).all()
+
     st = state(a)
     res = np.abs(st[0]).max(initial=0.0)
     for _ in range(100):
@@ -308,10 +314,13 @@ def _breakpoint_newton(state, newton_step, a, hi):
             return None
         if step is None:
             break
+        if not np.abs(step).max() > settle:
+            cand = a + step
+            return cand if in_order(cand) else a
         s = 1.0
         while s > 1e-10:
             cand = a + s * step
-            if cand[0] > 0.0 and cand[-1] < hi and (cand[1:] > cand[:-1]).all():
+            if in_order(cand):
                 new = state(cand)
                 new_res = np.abs(new[0]).max()
                 if new_res < res:
@@ -320,7 +329,7 @@ def _breakpoint_newton(state, newton_step, a, hi):
         else:
             break
         a, st, res = cand, new, new_res
-    return a, st
+    return a
 
 
 def _pinned_partition(c, d, b, cap, pinned, a):
@@ -350,8 +359,7 @@ def _pinned_partition(c, d, b, cap, pinned, a):
                 - r[:-1] * v_hi[:-1] ** 2 - r[1:] * v_lo[1:] ** 2)
         return _solve_tridiagonal(diag, (r * v_lo * v_hi)[1:-1], -F)
 
-    found = _breakpoint_newton(state, newton_step, a, 1.0)
-    return None if found is None else found[0]
+    return _breakpoint_newton(state, newton_step, a, 1.0)
 
 
 def _capped_partition(c, d, b, cap):

@@ -1,5 +1,8 @@
 """Shared fixtures: reference markets and random-market factories."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from fisher_infer.markets import (
     Uniform01Supply,
     random_linear1d_spec,
 )
+
+# the scripts are importable, so that tests can share and check their helpers
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
 
 
 @pytest.fixture

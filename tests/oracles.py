@@ -153,6 +153,23 @@ def random_linear1d_draw(n, seed, budget_spread=0.5):
     return c, b / b.sum()
 
 
+def pattern_multipliers(q, W, r, v, mk, b, t):
+    """finite._pattern_multipliers in array form: (beta, t b / beta) of
+    the ordered pattern q, by cumsum and bincount."""
+    q, W, r, v, mk, b = (np.asarray(x) for x in (q, W, r, v, mk, b))
+    tie = q % 2 == 1
+    comp = np.concatenate(([0], np.cumsum(~tie)))
+    off = np.concatenate(([0.0], np.cumsum(np.where(tie, -r, 0.0))))
+    off -= off[np.flatnonzero(np.concatenate(([True], ~tie)))][comp]
+    eo = np.exp(off)
+    C = np.bincount(comp, eo * W)
+    # each tied block once, also when three or more buyers share it
+    once = tie & ~np.concatenate(([False], tie[:-1] & (q[1:] == q[:-1])))
+    C += np.bincount(comp[:-1][once], (eo[:-1] * v * mk)[once], len(C))
+    beta = eo * (t * np.bincount(comp, b) / C)[comp]
+    return beta, t * b / beta
+
+
 def mc_quadrature(fun, n_samples, seed):
     """Monte Carlo mean and stderr of fun(theta) for theta ~ U[0, 1]."""
     gen = np.random.default_rng(seed)

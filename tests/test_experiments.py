@@ -8,6 +8,9 @@ byte-identical no matter how many workers produced them.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +138,23 @@ def test_csv_byte_identical_across_worker_counts(tmp_path, symmetric_spec, monke
     parallel = (tmp_path / "parallel" / "convergence.csv").read_bytes()
     assert serial == parallel
     assert len(serial) > 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4"])
+def test_bad_thread_count_names_the_variable(symmetric_spec, monkeypatch, value):
+    monkeypatch.setenv("FISHER_INFER_THREADS", value)
+    with pytest.raises(ValueError, match=f"FISHER_INFER_THREADS.*'{value}'"):
+        run_convergence_sweep(_mini_config(symmetric_spec))
+
+
+def test_import_leaves_the_pool_module_out():
+    # the pool's module is imported only where a pool starts
+    code = "import sys, fisher_infer; print('concurrent.futures' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_rerun_reproduces_csv(tmp_path, symmetric_spec):

@@ -37,6 +37,7 @@ from fisher_infer.markets import (
 
 from conftest import _random_market
 from oracles import grid_min_linear, grid_min_qlin, smoothed_dense, smoothed_value_dense
+from solve_digest import copy_items as _copy_items
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -588,13 +589,6 @@ def _crossing_lines():
                        supply=Uniform01Supply())
 
 
-def _copy_items(market, seed):
-    # t items drawn from the market's t with repeats: copied items have
-    # equal columns, so equal sort keys and blocks of several items
-    idx = np.random.default_rng(seed).integers(0, market.t, size=market.t)
-    return FiniteMarket(V=market.V[:, idx], budgets=market.budgets)
-
-
 @st.composite
 def ordered_markets(draw):
     """Sampled 1-D linear markets: n 1-8 or 50, t 1-300 with t <= n often,
@@ -756,6 +750,31 @@ def test_ordered_pattern_ties_bids_within_tie_log_tol(monkeypatch):
     eq = solve_sample_eg(market, method="newton")
     assert len(solves) == 2 and solves[1][2].sum() == solves[0][2].sum() + 1
     _assert_same_equilibrium(eq, dense)
+
+
+@st.composite
+def interval_patterns(draw):
+    """Inputs of _pattern_multipliers: a nondecreasing q on nb blocks, so
+    runs of equal odd q tie three or more buyers on one block."""
+    n = draw(st.sampled_from([2, 3, 5, 8, 50]))
+    nb = draw(st.integers(1, 6 if n < 50 else 60))
+    q = sorted(draw(st.lists(st.integers(1, 2 * nb - 1), min_size=n - 1, max_size=n - 1)))
+    pos = st.floats(0.01, 50.0)
+    W = draw(st.lists(pos, min_size=n, max_size=n))
+    r = draw(st.lists(st.floats(-3.0, 3.0), min_size=n - 1, max_size=n - 1))
+    v = draw(st.lists(pos, min_size=n - 1, max_size=n - 1))
+    mk = draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+    b = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    return q, W, r, v, mk, b, draw(st.integers(1, 5000))
+
+
+@given(args=interval_patterns())
+@settings(max_examples=200, deadline=None)
+def test_pattern_multipliers_match_the_array_form(args):
+    # the list form keeps numpy's float operations in numpy's order: same bits
+    beta, need = finite._pattern_multipliers(*args)
+    want_beta, want_need = oracles.pattern_multipliers(*args)
+    assert np.array_equal(beta, want_beta) and np.array_equal(need, want_need)
 
 
 def test_newton_tail_polishes_at_exact_powers_of_ten(monkeypatch):
