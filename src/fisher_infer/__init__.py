@@ -15,11 +15,11 @@ from .finite import (Certificate, CrossCheck, FiniteEquilibrium, KKTReport,
                      solve_sample_eg, solve_sample_qeg, verify_kkt)
 from .inference import (InferenceReport, build_report, ci_beta_u, ci_nsw, default_eta,
                         estimate_omega2, estimate_sigma2_nsw, hessian_numdiff,
-                        report_table, report_to_dict, save_report)
+                        report_table)
 from .longrun import (AsymptoticPack, Envelope, LongRunEquilibrium, asymptotic_pack,
                       dual_grad_pop, dual_value_pop, hessian_longrun_linear,
-                      longrun_to_dict, omega2, pack_to_dict, sigma2_nsw, sigma_beta_u,
-                      solve_longrun_eg, solve_longrun_qeg, upper_envelope)
+                      omega2, sigma2_nsw, sigma_beta_u, solve_longrun_eg,
+                      solve_longrun_qeg, upper_envelope)
 from .markets import (FiniteMarket, Linear1DValuation, LinearMDValuation, LongRunSpec,
                       Uniform01Supply, UniformCubeSupply, dual_subgradient_sample,
                       dual_value_sample, load_spec, normalize_spec, random_linear1d_spec,

@@ -10,7 +10,7 @@ Three routes to the dual minimizer are provided and cross-checked:
   skip the smoothed tail: the ordered-pattern solve finds their exact
   tie pattern from sorted prefix sums, and the tail runs only where it
   does not apply or does not certify.  Where neither certifies, the
-  route falls back to "pr", and the certificate names "pr".
+  tail's last iterate is returned uncertified.
 * "pr": proportional response dynamics on money bids.  Each buyer splits
   its budget over items in proportion to the utility each item currently
   delivers; prices are column sums of bids.  Robust and allocation-aware,
@@ -150,6 +150,9 @@ def _candidate_rtols(bids, top):
     order = np.argsort(-np.diff(logs))[:POLISH_GAPS]
     cands = [float(np.exp(0.5 * (logs[g] + logs[g + 1]))) for g in order]
     cands.append(float(vals[0]) * 0.5)
+    # above every margin kept: on a small market every strict margin can
+    # exceed 0.05, and then each other threshold leaves a tied bid out
+    cands.append(float(vals[-1]) * 2.0)
     return cands
 
 
@@ -341,8 +344,9 @@ def _pattern_solve(V, b, winmask, tol, cap):
     capped = beta_new >= cap - 1e-12
     X = np.zeros((n, t))
     X.ravel()[strict] = s
+    targets = b / beta_new - wload
     if len(tied_items) and not _split_tied_supply(
-            V, i, tau, i0, tied_items, wt, b / beta_new - wload, s, capped, X):
+            V, i, tau, i0, tied_items, wt, targets, s, capped, X):
         return None
     u = (V * X).sum(axis=1)
 
@@ -353,6 +357,22 @@ def _pattern_solve(V, b, winmask, tol, cap):
     else:
         # leftover money only where the cap binds
         delta = b - beta_new * u
+        if len(tied_items) and np.any(delta[capped] < -1e-10):
+            # a capped lowest-index winner took a tied remainder past its
+            # budget: split again with every row kept, each capped buyer
+            # paying the money its component has left on tied items in
+            # proportion to its room b - beta wload
+            room = b - beta_new * wload
+            left = (np.bincount(comp[wt], top2[tied_items] * s, minlength=ncomp)
+                    - np.bincount(comp, np.where(capped, 0.0, room), minlength=ncomp))
+            croom = np.bincount(comp, np.where(capped, room, 0.0), minlength=ncomp)
+            frac = np.divide(left, croom, out=np.zeros(ncomp), where=croom > 0)
+            targets[capped] = (room * frac[comp] / beta_new)[capped]
+            if not _split_tied_supply(V, i, tau, i0, tied_items, wt, targets, s,
+                                      np.zeros(n, dtype=bool), X):
+                return None
+            u = (V * X).sum(axis=1)
+            delta = b - beta_new * u
         if np.any(delta < -1e-10) or np.any(delta[~capped] > 1e-9):
             return None
         delta = np.maximum(delta, 0.0)
@@ -807,11 +827,7 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
             beta0 = (_subgradient_start(market, cap) if method == "subgradient"
                      else np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap))
             res, beta_out = _newton_tail(V, b, beta0, tol, cap)
-            if res is None and method == "newton":
-                # PR certifies some small markets with zero values that the tail misses
-                method = "pr"
-                res, iters, escalated = _run_pr(V, b, tol, max_iter, cap)
-            elif res is None:
+            if res is None:
                 res = _best_effort(V, b, beta_out, cap)
     beta, u, X, delta, gap, *prices = res
     # a pattern solve's result carries its prices
@@ -839,24 +855,21 @@ def solve_sample_eg(
     tol : float
         Certification threshold on the duality gap.
     max_iter : int
-        Iteration budget for the PR route, also where "newton" falls
-        back to it.
+        Iteration budget for the PR route; the other routes ignore it.
     method : str
         "newton" (default), "pr" or "subgradient".  "newton" first tries
         the ordered-pattern solve, for V > 0 whose items sort so that
         every buyer wins an interval of them (log-supermodular V, such
-        as sampled 1-D linear markets), runs the smoothed Newton tail
-        from b / mean(V) when that does not certify, and runs "pr" when
-        the tail does not certify either; certificate.method names the
-        route that produced the result.
+        as sampled 1-D linear markets), and runs the smoothed Newton
+        tail from b / mean(V) when that does not certify.
 
     Returns
     -------
     FiniteEquilibrium with multipliers beta, utilities u = b/beta, prices
     p[tau] = max_i beta_i V[i, tau], the allocation X, log Nash welfare,
-    delta = None and a duality-gap certificate.  If no route certifies
-    the gap below tol within the iteration budget, the best iterate is
-    returned with certificate.certified = False.
+    delta = None and a duality-gap certificate.  If the route does not
+    certify the gap below tol (for "pr", within max_iter), its last
+    iterate is returned with certificate.certified = False.
     """
     return _solve(market, tol, max_iter, method, cap=np.inf)
 

@@ -11,7 +11,6 @@ quantiles come from statkit.normal_quantile (about 1e-9 accurate).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,32 +270,6 @@ def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.0
                            rev_hat=rev_hat)
 
 
-def report_to_dict(report: InferenceReport) -> dict:
-    out = {
-        "nsw_hat": report.nsw_hat,
-        "sigma2_nsw_hat": report.sigma2_nsw_hat,
-        "nsw_ci": list(report.nsw_ci),
-        "beta_hat": report.beta_hat.tolist(),
-        "u_hat": report.u_hat.tolist(),
-        "omega2_hat": report.omega2_hat.tolist(),
-        "beta_ci": report.beta_ci.tolist(),
-        "u_ci": report.u_ci.tolist(),
-        "alpha": report.alpha,
-        "tie_flagged": report.tie_flagged,
-    }
-    if report.hessian_hat is not None:
-        out["hessian_hat"] = report.hessian_hat.tolist()
-    if report.rev_hat is not None:
-        out["rev_hat"] = report.rev_hat
-    return out
-
-
-def save_report(report: InferenceReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
-
-
 def report_table(report: InferenceReport) -> str:
     """Fixed-column plain-text rendering used by the command line."""
     lines = []
@@ -327,7 +300,5 @@ __all__ = [
     "ci_beta_u",
     "InferenceReport",
     "build_report",
-    "report_to_dict",
-    "save_report",
     "report_table",
 ]

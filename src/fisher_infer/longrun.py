@@ -247,11 +247,6 @@ class LongRunEquilibrium:
                        self.price_slopes, self.price_intercepts)
         return env.value_at(theta)
 
-    def price_segments(self) -> list[tuple[float, float, float]]:
-        """(start, slope, intercept) per segment, starts increasing."""
-        return [(float(self.breakpoints[k]), float(self.price_slopes[k]),
-                 float(self.price_intercepts[k])) for k in range(len(self.winners))]
-
 
 def _check_normalized(spec, budgets=True):
     means = spec.valuation.means()
@@ -603,41 +598,6 @@ def asymptotic_pack(eq: LongRunEquilibrium) -> AsymptoticPack:
                           sigma_beta=sb, sigma_u=su)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def longrun_to_dict(eq: LongRunEquilibrium) -> dict:
-    from .markets import spec_to_dict
-
-    out = {
-        "spec": spec_to_dict(eq.spec),
-        "beta_star": eq.beta_star.tolist(),
-        "breakpoints": eq.breakpoints.tolist(),
-        "winners": eq.winners.tolist(),
-        "price": [[start, slope, intercept]
-                  for start, slope, intercept in eq.price_segments()],
-        "u_star": eq.u_star.tolist(),
-        "nsw_star": eq.nsw_star,
-        "rev": eq.rev,
-        "grad_norm": eq.grad_norm,
-    }
-    if eq.delta is not None:
-        out["delta"] = eq.delta.tolist()
-    return out
-
-
-def pack_to_dict(pack: AsymptoticPack) -> dict:
-    return {
-        "sigma2_nsw": pack.sigma2_nsw,
-        "omega2": pack.omega2.tolist(),
-        "hessian": pack.hessian.tolist(),
-        "sigma_beta": pack.sigma_beta.tolist(),
-        "sigma_u": pack.sigma_u.tolist(),
-    }
-
-
 __all__ = [
     "Envelope",
     "upper_envelope",
@@ -652,6 +612,4 @@ __all__ = [
     "sigma_beta_u",
     "AsymptoticPack",
     "asymptotic_pack",
-    "longrun_to_dict",
-    "pack_to_dict",
 ]

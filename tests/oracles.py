@@ -258,6 +258,7 @@ def _candidate_rtols(V, beta, cap=12):
     order = np.argsort(-np.diff(logs))[:cap]
     cands = [float(np.exp(0.5 * (logs[g] + logs[g + 1]))) for g in order]
     cands.append(float(vals[0]) * 0.5)
+    cands.append(float(vals[-1]) * 2.0)
     return cands
 
 
@@ -489,6 +490,30 @@ def _attempt_pattern(V, b, beta, tie_rtol, tol, cap):
     else:
         # leftover money only where the cap binds
         delta = b - beta_new * u
+        if len(tied_items) and np.any(delta[capped] < -1e-10):
+            # split again with every row kept: each capped buyer pays the
+            # money its component has left on tied items, in proportion to
+            # its room b - beta wload
+            room = b - beta_new * wload
+            tied_money, paid, croom = np.zeros(ncomp), np.zeros(ncomp), np.zeros(ncomp)
+            for k, tau in enumerate(tied_items):
+                tied_money[comp[rep[k]]] += top2[tau] * s
+            for i in range(n):
+                if capped[i]:
+                    croom[comp[i]] += room[i]
+                else:
+                    paid[comp[i]] += room[i]
+            for i in np.flatnonzero(capped):
+                c = comp[i]
+                share = (tied_money[c] - paid[c]) / croom[c] if croom[c] > 0 else 0.0
+                targets[i] = room[i] * share / beta_new[i]
+            frac = _split_tied_supply(V, winmask, tied_items, targets, s, np.zeros(n, dtype=bool))
+            if frac is None:
+                return None
+            for (i, tau), val in frac.items():
+                X[i, tau] = val
+            u = (V * X).sum(axis=1)
+            delta = b - beta_new * u
         if np.any(delta < -1e-10) or np.any(delta[~capped] > 1e-9):
             return None
         delta = np.maximum(delta, 0.0)

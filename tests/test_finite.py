@@ -343,17 +343,34 @@ def _tiny_zero_value_market(seed):
     return FiniteMarket(V=V, budgets=b / b.sum())
 
 
-def test_newton_route_falls_back_to_pr():
+def test_newton_route_reads_ties_when_every_strict_margin_is_wide():
+    # every strict bid margin here is above 0.05, so only the threshold
+    # above every margin kept leaves no tied bid out of the pattern
     market = _tiny_zero_value_market(3)
-    V, b = market.V, market.budgets
-    assert finite._ordered_pattern(V, b, DEFAULT_TOL) is None
-    assert _newton_tail(V, b, b / V.mean(axis=1), DEFAULT_TOL, np.inf)[0] is None
     eq = solve_sample_eg(market)
     pr = solve_sample_eg(market, method="pr")
-    assert eq.certificate.certified and eq.certificate.method == "pr"
-    assert eq.certificate == pr.certificate
+    assert eq.certificate.certified and eq.certificate.method == "newton"
     for field in ("beta", "u", "p", "X", "nsw"):
         assert np.array_equal(getattr(eq, field), getattr(pr, field)), field
+
+
+def test_capped_tie_split_keeps_capped_buyers_within_budget():
+    # all 8 buyers tie on the one item at price 1 = sum b; its remainder
+    # went to buyer 0, at the cap, past its budget (delta_0 = -b_6)
+    market = _random_market(8, 1, 1022, 0.2)
+    V, b = market.V, market.budgets
+    res = finite._pattern_solve(V, b, np.ones((8, 1), dtype=bool), DEFAULT_TOL, 1.0)
+    assert res is not None
+    beta, u, _, _, gap, _ = res
+    assert gap <= DEFAULT_TOL and np.all(b - beta * u >= -1e-10)
+
+
+@pytest.mark.parametrize("args", [(7, 2, 623, 0.4), (8, 1, 1022, 0.2), (8, 1, 1092, 0.4)])
+def test_capped_ties_certify_on_the_newton_route(args):
+    market = _random_market(*args)
+    eq = solve_sample_qeg(market)
+    assert eq.certificate.certified and eq.certificate.method == "newton"
+    assert verify_kkt(market, eq).passed
 
 
 def test_repeated_tie_pair_splits_within_supply(monkeypatch):
@@ -605,14 +622,10 @@ def ordered_markets(draw):
 
 
 def _dense_newton(market):
-    """The Newton route with the ordered-pattern step and the PR fallback
-    switched off: the smoothed tail alone, uncertified where it is."""
-    def no_pr(V, b, tol, max_iter, cap):
-        return (b, b, 0.0 * V, None, np.inf), 0, False
-
+    """The Newton route with the ordered-pattern step switched off: the
+    smoothed tail alone, uncertified where it is."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(finite, "_ordered_pattern", lambda V, b, tol: None)
-        m.setattr(finite, "_run_pr", no_pr)
         return solve_sample_eg(market, method="newton")
 
 

@@ -6,7 +6,6 @@ oracles for the sampled estimators at large t.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -24,8 +23,6 @@ from fisher_infer.inference import (
     estimate_sigma2_nsw,
     hessian_numdiff,
     report_table,
-    report_to_dict,
-    save_report,
 )
 from fisher_infer.markets import FiniteMarket, random_linear1d_spec, sample_items
 from oracles import hessian_numdiff_dense
@@ -482,21 +479,6 @@ def test_build_report_flags_ties():
     rep = build_report(market, solve_sample_eg(market))
     assert rep.tie_flagged
     assert "split" in report_table(rep)
-
-
-def test_report_round_trip(tmp_path, symmetric_spec):
-    market = sample_items(symmetric_spec, t=400, seed=11)
-    eq = solve_sample_eg(market)
-    rep = build_report(market, eq, use_hessian=True)
-    path = tmp_path / "report.json"
-    save_report(rep, str(path))
-    data = json.loads(path.read_text())
-    assert data["nsw_hat"] == rep.nsw_hat
-    assert data["alpha"] == 0.05
-    assert data["beta_hat"] == rep.beta_hat.tolist()
-    assert data["hessian_hat"] == rep.hessian_hat.tolist()
-    assert data["tie_flagged"] == rep.tie_flagged
-    assert data == report_to_dict(rep)
 
 
 def test_report_table_layout(symmetric_spec):

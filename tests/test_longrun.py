@@ -14,9 +14,7 @@ from fisher_infer.longrun import (
     dual_grad_pop,
     dual_value_pop,
     hessian_longrun_linear,
-    longrun_to_dict,
     omega2,
-    pack_to_dict,
     sigma2_nsw,
     sigma_beta_u,
     solve_longrun_eg,
@@ -644,27 +642,3 @@ def test_asymptotic_pack_quasilinear_interior(symmetric_spec):
 def test_sigma_beta_u_rejects_singular_hessian():
     with pytest.raises(np.linalg.LinAlgError):
         sigma_beta_u(np.zeros((2, 2)), np.ones(2), np.ones(2), np.ones(2))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def test_longrun_to_dict_round_trip(symmetric_spec):
-    eq = solve_longrun_eg(symmetric_spec)
-    data = longrun_to_dict(eq)
-    assert np.allclose(data["beta_star"], eq.beta_star)
-    assert np.allclose(data["breakpoints"], [0.0, 0.5, 1.0])
-    # price curve as (segment start, slope, intercept) triples
-    starts, slopes, intercepts = zip(*data["price"])
-    assert np.allclose(starts, [0.0, 0.5])
-    assert np.allclose(slopes, eq.price_slopes)
-    assert np.allclose(intercepts, eq.price_intercepts)
-
-
-def test_pack_to_dict(symmetric_spec):
-    pack = asymptotic_pack(solve_longrun_eg(symmetric_spec))
-    data = pack_to_dict(pack)
-    assert data["sigma2_nsw"] == pytest.approx(1 / 27)
-    assert np.allclose(data["hessian"], [[1.5, -0.375], [-0.375, 1.5]])
