@@ -25,7 +25,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +49,6 @@ class ExperimentConfig:
     base_seed: int = 0
     alpha: float = 0.05
     tol: float = 1e-9
-    max_iter: int = 200_000
     method: str = "newton"
     out_dir: str | None = None
 
@@ -75,13 +74,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "base_seed": cfg.base_seed,
         "alpha": cfg.alpha,
         "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
         "method": cfg.method,
         "out_dir": cfg.out_dir,
     }
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
+    """The config that data describes; a key that is not an
+    ExperimentConfig field or "spec_path" raises ValueError."""
+    unknown = sorted(set(data) - {"spec_path"} - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     if "spec_path" in data:
         path = data["spec_path"]
         if not os.path.isabs(path):
@@ -98,7 +101,6 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         base_seed=int(data.get("base_seed", 0)),
         alpha=float(data.get("alpha", 0.05)),
         tol=float(data.get("tol", 1e-9)),
-        max_iter=int(data.get("max_iter", 200_000)),
         method=data.get("method", "newton"),
         out_dir=data.get("out_dir"),
     )
@@ -149,14 +151,14 @@ def _row_dtype(n: int) -> np.dtype:
 
 
 def _replication(args) -> ReplicationResult:
-    spec_dict, t, rep, seed, tol, max_iter, method, qlin, alpha = args
+    spec_dict, t, rep, seed, tol, method, qlin, alpha = args
     spec = spec_from_dict(spec_dict)
     start = time.perf_counter()
     market = sample_items(spec, t, seed)
     if qlin:
-        eq = solve_sample_qeg(market, tol=tol, max_iter=max_iter, method=method)
+        eq = solve_sample_qeg(market, tol=tol, method=method)
     else:
-        eq = solve_sample_eg(market, tol=tol, max_iter=max_iter, method=method)
+        eq = solve_sample_eg(market, tol=tol, method=method)
     wall = time.perf_counter() - start
     nan = float("nan")
     if not eq.certificate.certified:
@@ -205,7 +207,7 @@ def _run_jobs(jobs: list) -> np.recarray:
 def _jobs_for(config: ExperimentConfig, t_values, qlin: bool) -> list:
     spec_dict = spec_to_dict(config.spec)
     return [(spec_dict, t, rep, derive_seed(config.base_seed, t, rep),
-             config.tol, config.max_iter, config.method, qlin, config.alpha)
+             config.tol, config.method, qlin, config.alpha)
             for t in t_values for rep in range(config.k)]
 
 

@@ -9,15 +9,18 @@ Three routes to the dual minimizer are provided and cross-checked:
   winners are intervals of sorted items (sampled 1-D linear markets)
   skip the smoothed tail: the ordered-pattern solve finds their exact
   tie pattern from sorted prefix sums, and the tail runs only where it
-  does not apply or does not certify.  Where neither certifies, the
-  tail's last iterate is returned uncertified.
+  does not apply or does not certify.
 * "pr": proportional response dynamics on money bids.  Each buyer splits
   its budget over items in proportion to the utility each item currently
   delivers; prices are column sums of bids.  Robust and allocation-aware,
-  linear convergence on most instances; it hands long runs to the
+  linear convergence on most instances; a run that no polish certifies
+  within ESCALATE_AFTER iterations hands its last iterate to the
   smoothed-Newton tail.
 * "subgradient": projected subgradient descent on the dual over the
   multiplier box, with decaying steps, then the smoothed-Newton tail.
+
+Each route hands the tail at most one start, and where the tail does not
+certify, its last iterate is returned uncertified.
 
 All routes finish with an exact pattern solve: near the optimum the items
 whose top bids tie link buyers into a forest, and on the manifold where
@@ -45,7 +48,6 @@ from .longrun import _breakpoint_newton, _solve_tridiagonal
 from .markets import FiniteMarket, dual_subgradient_sample
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 200_000
 
 # PR iterations between exact-pattern polish attempts.
 POLISH_EVERY = 100
@@ -720,8 +722,11 @@ def _newton_tail(V, b, beta, tol, cap):
 # ---------------------------------------------------------------------------
 
 
-def _run_pr(V, b, tol, max_iter, cap):
-    """PR main loop with periodic exact polish and Newton escalation."""
+def _run_pr(V, b, tol, cap):
+    """PR with an exact polish every POLISH_EVERY iterations, for at most
+    ESCALATE_AFTER iterations.  Returns (result, iterations, beta): the
+    first polish that certified, or None and the multipliers of the last
+    polish, for the Newton tail to start from."""
     n, t = V.shape
     s = 1.0 / t
     if np.isinf(cap):
@@ -731,9 +736,7 @@ def _run_pr(V, b, tol, max_iter, cap):
         # one extra virtual item holds the slack (unspent money) bid
         B = np.full((n, t), 1.0) * (b / (t + 1))[:, None]
         slack = b / (t + 1)
-    u = np.full(n, np.nan)
-    escalated = False
-    for k in range(1, max_iter + 1):
+    for k in range(1, ESCALATE_AFTER + 1):
         m = B.sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             X = np.where(m > 0, B / m, 0.0) * s
@@ -746,14 +749,8 @@ def _run_pr(V, b, tol, max_iter, cap):
             beta = np.minimum(b / (u + slack), cap)
             res = _polish(V, b, beta, tol, cap)
             if res is not None:
-                return res, k, escalated
-            if k >= ESCALATE_AFTER:
-                escalated = True
-                res, _ = _newton_tail(V, b, beta, tol, cap)
-                if res is not None:
-                    return res, k, escalated
-    beta = np.minimum(b / (u + slack), cap)
-    return _uncertified(V, b, beta, u, X, cap), max_iter, escalated
+                return res, k, beta
+    return None, ESCALATE_AFTER, beta
 
 
 # ---------------------------------------------------------------------------
@@ -790,45 +787,43 @@ def _subgradient_start(market, cap):
 # ---------------------------------------------------------------------------
 
 
-def _uncertified(V, b, beta, u, X, cap):
-    """(beta, u, X, delta, gap) of a point no route certified; the solve
-    returns it flagged with certificate.certified = False."""
+def _best_effort(V, b, beta, cap):
+    """(beta, u, X, delta, gap) of a point no route certified, its X
+    splitting near-tied items evenly; the solve returns it flagged with
+    certificate.certified = False."""
+    t = V.shape[1]
+    bids = beta[:, None] * V
+    top = bids.max(axis=0)
+    near = bids >= top[None, :] * (1.0 - 1e-9)
+    X = near / near.sum(axis=0)[None, :] / t
+    u = (V * X).sum(axis=1)
     delta = None if np.isinf(cap) else np.maximum(b - beta * u, 0.0)
     money = u if delta is None else u + delta
     gap = _gap(V, b, beta, u, delta) if np.all(money > 0) else float("inf")
     return beta, u, X, delta, float(gap)
 
 
-def _best_effort(V, b, beta, cap):
-    """Primal point built from beta by splitting near-tied items evenly."""
-    t = V.shape[1]
-    bids = beta[:, None] * V
-    top = bids.max(axis=0)
-    near = bids >= top[None, :] * (1.0 - 1e-9)
-    X = near / near.sum(axis=0)[None, :] / t
-    return _uncertified(V, b, beta, (V * X).sum(axis=1), X, cap)
-
-
-def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
-           cap: float) -> FiniteEquilibrium:
+def _solve(market: FiniteMarket, tol: float, method: str, cap: float) -> FiniteEquilibrium:
     """The one solve body; cap is 1 for quasilinear buyers, inf for linear."""
     V, b = market.V, market.budgets
     if np.any(V.max(axis=1) <= 0):
         raise ValueError("every buyer needs a positive value on some item")
-    escalated = False
     if method == "pr":
-        res, iters, escalated = _run_pr(V, b, tol, max_iter, cap)
-    elif method not in ("newton", "subgradient"):
-        raise ValueError(f"unknown method {method!r}")
+        res, iters, beta0 = _run_pr(V, b, tol, cap)
+    elif method == "newton":
+        res = _ordered_pattern(V, b, tol) if np.isinf(cap) else None
+        iters, beta0 = 0, None
+    elif method == "subgradient":
+        res, iters, beta0 = None, SUBGRADIENT_ITERS, _subgradient_start(market, cap)
     else:
-        iters = SUBGRADIENT_ITERS if method == "subgradient" else 0
-        res = _ordered_pattern(V, b, tol) if method == "newton" and np.isinf(cap) else None
+        raise ValueError(f"unknown method {method!r}")
+    escalated = res is None and method == "pr"
+    if res is None:
+        if beta0 is None:  # the Newton route's start, needed only here
+            beta0 = np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap)
+        res, beta = _newton_tail(V, b, beta0, tol, cap)
         if res is None:
-            beta0 = (_subgradient_start(market, cap) if method == "subgradient"
-                     else np.minimum(b / V.mean(axis=1).clip(min=1e-300), cap))
-            res, beta_out = _newton_tail(V, b, beta0, tol, cap)
-            if res is None:
-                res = _best_effort(V, b, beta_out, cap)
+            res = _best_effort(V, b, beta, cap)
     beta, u, X, delta, gap, *prices = res
     # a pattern solve's result carries its prices
     p = prices[0] if prices else (beta[:, None] * V).max(axis=0)
@@ -843,7 +838,6 @@ def _solve(market: FiniteMarket, tol: float, max_iter: int, method: str,
 def solve_sample_eg(
     market: FiniteMarket,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     method: str = "newton",
 ) -> FiniteEquilibrium:
     """Compute the equilibrium of a sampled linear market.
@@ -854,30 +848,30 @@ def solve_sample_eg(
         Values V (n x t) and budgets; each item has supply 1/t.
     tol : float
         Certification threshold on the duality gap.
-    max_iter : int
-        Iteration budget for the PR route; the other routes ignore it.
     method : str
         "newton" (default), "pr" or "subgradient".  "newton" first tries
         the ordered-pattern solve, for V > 0 whose items sort so that
         every buyer wins an interval of them (log-supermodular V, such
         as sampled 1-D linear markets), and runs the smoothed Newton
-        tail from b / mean(V) when that does not certify.
+        tail from b / mean(V) when that does not certify.  "pr" runs the
+        tail from its iterate at ESCALATE_AFTER iterations when no
+        polish has certified by then (certificate.escalated), and
+        "subgradient" from the best point of its warmup.
 
     Returns
     -------
     FiniteEquilibrium with multipliers beta, utilities u = b/beta, prices
     p[tau] = max_i beta_i V[i, tau], the allocation X, log Nash welfare,
     delta = None and a duality-gap certificate.  If the route does not
-    certify the gap below tol (for "pr", within max_iter), its last
-    iterate is returned with certificate.certified = False.
+    certify the gap below tol, the Newton tail's last iterate is
+    returned with certificate.certified = False.
     """
-    return _solve(market, tol, max_iter, method, cap=np.inf)
+    return _solve(market, tol, method, cap=np.inf)
 
 
 def solve_sample_qeg(
     market: FiniteMarket,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     method: str = "newton",
 ) -> FiniteEquilibrium:
     """Compute the equilibrium of a sampled quasilinear market.
@@ -887,7 +881,7 @@ def solve_sample_qeg(
     seller revenue is the mean price eq.rev.  Parameters and
     non-certified returns are as in solve_sample_eg.
     """
-    return _solve(market, tol, max_iter, method, cap=1.0)
+    return _solve(market, tol, method, cap=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1005,6 @@ def save_equilibrium(eq: FiniteEquilibrium, path: str) -> None:
 
 __all__ = [
     "DEFAULT_TOL",
-    "DEFAULT_MAX_ITER",
     "Certificate",
     "FiniteEquilibrium",
     "solve_sample_eg",

@@ -91,15 +91,13 @@ def _top3_bids(bids):
     return values, buyers
 
 
-def hessian_numdiff(market: FiniteMarket, beta_hat, eta: float | None = None,
-                    return_eta: bool = False):
+def hessian_numdiff(market: FiniteMarket, beta_hat, eta: float | None = None):
     """Four-point numerical-difference Hessian of the sampled dual.
 
     Entry (i, j) uses the stencil [F(+e_i+e_j) - F(-e_i+e_j) -
     F(+e_i-e_j) + F(-e_i-e_j)] / (4 eta^2); the result is symmetrized.
-    eta defaults to default_eta(t) and is shrunk when a perturbed point
-    would leave the positive orthant; pass return_eta=True to get the
-    spacing actually used.
+    eta defaults to default_eta(t) and is shrunk to 0.5 min(beta_hat)
+    (1 - 1e-9) when a perturbed point would leave the positive orthant.
 
     A stencil point moves only buyers i and j, so each item's max bid
     there is the larger of their two moved bids and the best bid, at
@@ -150,10 +148,7 @@ def hessian_numdiff(market: FiniteMarket, beta_hat, eta: float | None = None,
                     - F(beta_hat + eta * (I[i] - I[i:]))
                     + F(beta_hat - eta * (I[i] + I[i:]))) / (4.0 * eta * eta)
         H[i:, i] = H[i, i:]
-    H = 0.5 * (H + H.T)
-    if return_eta:
-        return H, float(eta)
-    return H
+    return 0.5 * (H + H.T)
 
 
 def ci_beta_u(beta_hat, omega2_hat, hessian, b, t: int, alpha: float,
@@ -224,7 +219,7 @@ def _require_unit_budgets(budgets) -> None:
 
 
 def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.05,
-                 use_hessian: bool = False, eta: float | None = None) -> InferenceReport:
+                 use_hessian: bool = False) -> InferenceReport:
     """Assemble the full report for a solved market.
 
     use_hessian=True estimates the dual Hessian by numerical
@@ -248,7 +243,7 @@ def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.0
     hessian_hat = None
     if use_hessian:
         _require_below_cap(eq.beta, eq.delta)
-        hessian_hat = hessian_numdiff(market, eq.beta, eta)
+        hessian_hat = hessian_numdiff(market, eq.beta)
     # at the cap u_i = b_i - delta_i, not b_i / beta_i: a quasilinear
     # report centres its u intervals at its own u_hat
     beta_ci, u_ci = ci_beta_u(eq.beta, omega2_hat, hessian_hat,

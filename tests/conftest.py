@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fisher_infer.markets import (
-    FiniteMarket,
     Linear1DValuation,
     LongRunSpec,
     Uniform01Supply,
@@ -16,6 +15,8 @@ from fisher_infer.markets import (
 
 # the scripts are importable, so that tests can share and check their helpers
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
+
+from solve_digest import random_market as _random_market
 
 
 @pytest.fixture
@@ -37,17 +38,6 @@ def symmetric_spec() -> LongRunSpec:
 def five_buyer_spec() -> LongRunSpec:
     # fixed seed keeps the long-run reference solvable and stable across runs
     return random_linear1d_spec(5, seed=42)
-
-
-def _random_market(n: int, t: int, seed: int, zero_frac: float = 0.0) -> FiniteMarket:
-    gen = np.random.default_rng(seed)
-    V = gen.uniform(0.1, 3.0, size=(n, t))
-    if zero_frac > 0.0:
-        V[gen.random((n, t)) < zero_frac] = 0.0
-        dead = ~(V > 0).any(axis=1)
-        V[dead, 0] = 1.0  # every buyer must keep one positive value
-    b = gen.uniform(0.2, 1.0, size=n)
-    return FiniteMarket(V=V, budgets=b / b.sum())
 
 
 def _box_point(budgets: np.ndarray, gen: np.random.Generator) -> np.ndarray:

@@ -99,7 +99,7 @@ def test_config_validation(symmetric_spec):
 
 def test_config_round_trip(symmetric_spec):
     cfg = _mini_config(symmetric_spec, mode="clt", alpha=0.1, method="newton",
-                       base_seed=13, tol=1e-8, max_iter=5000)
+                       base_seed=13, tol=1e-8)
     data = config_to_dict(cfg)
     back = config_from_dict(json.loads(json.dumps(data)))
     assert back.mode == cfg.mode
@@ -108,7 +108,6 @@ def test_config_round_trip(symmetric_spec):
     assert back.base_seed == cfg.base_seed
     assert back.alpha == cfg.alpha
     assert back.tol == cfg.tol
-    assert back.max_iter == cfg.max_iter
     assert back.method == cfg.method
     assert np.array_equal(back.spec.budgets, cfg.spec.budgets)
     assert np.array_equal(back.spec.valuation.c, cfg.spec.valuation.c)
@@ -237,7 +236,7 @@ def test_convergence_single_buyer_exact_nsw():
 
 def test_convergence_flags_uncertified_rows(five_buyer_spec):
     cfg = ExperimentConfig(spec=five_buyer_spec, mode="convergence",
-                           t_grid=(200,), k=2, base_seed=3, max_iter=10, method="pr")
+                           t_grid=(200,), k=2, base_seed=3, tol=-math.inf)
     res = run_convergence_sweep(cfg)
     assert all(r.status == "uncertified" for r in res.rows)
     assert res.summary[0]["n_failed"] == 2
@@ -408,8 +407,8 @@ def test_rows_are_one_record_array(symmetric_spec, five_buyer_spec):
     assert res.qq.shape == (5, 2) and np.array_equal(res.qq[:, 1], np.sort(res.samples))
     # an uncertified replication keeps its place with NaN estimates
     flagged = run_convergence_sweep(ExperimentConfig(
-        spec=five_buyer_spec, mode="convergence", t_grid=(100,), k=1, max_iter=10,
-        method="pr")).rows
+        spec=five_buyer_spec, mode="convergence", t_grid=(100,), k=1,
+        tol=-math.inf)).rows
     assert flagged.status[0] == "uncertified" and flagged.beta_hat.shape == (1, 5)
     assert np.isnan(flagged.beta_hat).all() and np.isnan(flagged.ci).all()
 
@@ -513,6 +512,19 @@ def test_cli_qlin(cli_files, capsys):
     rc = cli_main(["qlin", "--config", str(cfg_path)])
     assert rc == 0
     assert "rev_star" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["max_iter", "metod"])
+def test_unknown_config_key_is_an_error(cli_files, capsys, key):
+    # an old config's max_iter or a misspelt key is not dropped silently
+    _, _, cfg_path = cli_files
+    data = json.loads(cfg_path.read_text())
+    data[key] = 10
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(data)
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_cli_errors_return_nonzero(tmp_path, capsys):

@@ -12,6 +12,7 @@ import oracles
 from fisher_infer import finite
 from fisher_infer.finite import (
     DEFAULT_TOL,
+    ESCALATE_AFTER,
     SMOOTH_MUS,
     _newton_tail,
     _smoothed,
@@ -38,6 +39,7 @@ from fisher_infer.markets import (
 from conftest import _random_market
 from oracles import grid_min_linear, grid_min_qlin, smoothed_dense, smoothed_value_dense
 from solve_digest import copy_items as _copy_items
+from solve_digest import tiny_zero_value_market as _tiny_zero_value_market
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -143,16 +145,35 @@ def test_solver_rejects_unknown_method():
         solve_sample_eg(_symmetric_market(), method="simplex")
 
 
-def test_max_iter_exhaustion_returns_flagged_iterate(five_buyer_spec):
-    from fisher_infer.markets import sample_items
-
+def test_unmeetable_tol_returns_flagged_iterate(five_buyer_spec):
+    # no gap is <= -inf, so every route ends in the Newton tail's last iterate
     market = sample_items(five_buyer_spec, t=200, seed=7)
-    eq = solve_sample_eg(market, max_iter=50, method="pr")
-    assert not eq.certificate.certified
-    assert eq.certificate.duality_gap > 1e-9
-    assert np.all(eq.beta > 0)
-    certified = solve_sample_eg(market)
-    assert certified.certificate.certified
+    for solve in (solve_sample_eg, solve_sample_qeg):
+        for method in ("newton", "pr", "subgradient"):
+            eq = solve(market, tol=-math.inf, method=method)
+            cert = eq.certificate
+            assert not cert.certified and math.isfinite(cert.duality_gap), method
+            assert np.all(eq.beta > 0), method
+            assert np.allclose(eq.X.sum(axis=0), 1.0 / market.t, rtol=1e-12, atol=0.0)
+            assert cert.escalated == (method == "pr")
+            assert cert.iterations == {"newton": 0, "pr": ESCALATE_AFTER,
+                                       "subgradient": finite.SUBGRADIENT_ITERS}[method]
+    assert solve_sample_eg(market).certificate.certified
+
+
+@pytest.mark.parametrize("market, solve", [
+    (_tiny_zero_value_market(194), solve_sample_eg),
+    (_random_market(5, 39, 981, 0), solve_sample_eg),
+    (_random_market(5, 39, 981, 0), solve_sample_qeg),
+])
+def test_pr_hands_its_iterate_to_the_newton_tail_once(market, solve, monkeypatch):
+    # no PR polish certifies these markets within ESCALATE_AFTER iterations
+    tails = _count_calls(monkeypatch, "_newton_tail")
+    eq = solve(market, method="pr")
+    cert = eq.certificate
+    assert cert.certified and cert.escalated and cert.iterations == ESCALATE_AFTER
+    assert len(tails) == 1
+    assert verify_kkt(market, eq).passed
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +352,6 @@ def test_newton_route_agrees_with_pr():
     eq_pr = solve_sample_eg(m, method="pr")
     eq_nt = solve_sample_eg(m, method="newton")
     assert np.abs(eq_pr.beta - eq_nt.beta).max() < 1e-6
-
-
-def _tiny_zero_value_market(seed):
-    # n 3-7, t <= 15, about 20% zero values
-    g = np.random.default_rng(seed)
-    n, t = int(g.integers(3, 8)), int(g.integers(1, 16))
-    V = g.uniform(0.0, 1.0, (n, t))
-    V[g.random((n, t)) < 0.2] = 0.0
-    b = g.uniform(0.2, 1.0, n)
-    return FiniteMarket(V=V, budgets=b / b.sum())
 
 
 def test_newton_route_reads_ties_when_every_strict_margin_is_wide():
@@ -553,7 +564,7 @@ def polish_cases(draw):
     b *= draw(st.sampled_from([1.0, 2.0])) / b.sum()
     cap = draw(st.sampled_from([np.inf, 1.0]))
     solve = solve_sample_eg if np.isinf(cap) else solve_sample_qeg
-    beta = solve(FiniteMarket(V=V, budgets=b), method="pr", max_iter=2000).beta
+    beta = solve(FiniteMarket(V=V, budgets=b), method="pr").beta
     rel = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
     beta = np.minimum(beta * (1.0 + rel * gen.uniform(-1.0, 1.0, size=n)), cap)
     return V, b, beta, cap

@@ -230,18 +230,19 @@ def test_numdiff_symmetric_market_near_analytic_hessian(symmetric_spec):
     assert np.abs(H - np.array([[1.5, -0.375], [-0.375, 1.5]])).max() < 0.15
 
 
-def test_numdiff_uses_default_eta_and_reports_it():
+def test_numdiff_shrinks_default_eta_to_the_orthant():
     market = _psi_only_market()
+    beta = np.array([1.0, 1.0])
     # t=2 default would be 2^{-1/4} ~ 0.84, above the orthant limit 0.5
-    H, eta = hessian_numdiff(market, np.array([1.0, 1.0]), return_eta=True)
-    assert eta == pytest.approx(0.5 * (1.0 - 1e-9), abs=1e-12)
+    assert np.array_equal(hessian_numdiff(market, beta),
+                          hessian_numdiff(market, beta, eta=0.5 * (1.0 - 1e-9)))
 
 
 def test_numdiff_shrinks_eta_near_boundary():
     market = _psi_only_market()
-    H, eta = hessian_numdiff(market, np.array([0.01, 1.0]), return_eta=True)
-    assert eta < 0.005
-    assert eta == pytest.approx(0.005, rel=1e-6)
+    beta = np.array([0.01, 1.0])
+    assert np.array_equal(hessian_numdiff(market, beta),
+                          hessian_numdiff(market, beta, eta=0.5 * 0.01 * (1.0 - 1e-9)))
 
 
 @given(
@@ -306,10 +307,11 @@ def test_numdiff_matches_dense_oracle(n, t, seed, zero_frac, integer_values, dup
         eta = float(gen.uniform(1e-4, 0.1))
     elif eta_kind == "boundary":
         beta[gen.integers(n)] = 1e-3  # the default eta shrinks to below 5e-4
-    H, used = hessian_numdiff(market, beta, eta, return_eta=True)
+    H = hessian_numdiff(market, beta, eta)
     assert np.array_equal(H, hessian_numdiff_dense(market, beta, eta))
     if eta_kind == "boundary":
-        assert used < 5e-4
+        shrunk = 0.5 * beta.min() * (1.0 - 1e-9)
+        assert shrunk < 5e-4 and np.array_equal(H, hessian_numdiff(market, beta, shrunk))
 
 
 def test_numdiff_matches_dense_oracle_n50():
