@@ -36,16 +36,13 @@ def main() -> None:
     ap.add_argument("--t", type=int, default=5000)
     ap.add_argument("--k", type=int, default=50)
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--method", choices=["pr", "subgradient", "newton"],
-                    help="solver route (default: ExperimentConfig's)")
     ap.add_argument("--out", default=None, help="directory for clt.csv")
     args = ap.parse_args()
 
     spec = symmetric_spec() if args.symmetric else random_linear1d_spec(
         args.n, seed=args.spec_seed)
-    route = {"method": args.method} if args.method else {}
     cfg = ExperimentConfig(spec=spec, mode="clt", t_grid=(args.t,),
-                           k=args.k, base_seed=args.base_seed, **route)
+                           k=args.k, base_seed=args.base_seed)
     res = run_clt_experiment(cfg, out_dir=args.out)
 
     print(f"k = {len(res.samples)} samples of sqrt(t)(nsw_hat - nsw_star) at t = {args.t}")

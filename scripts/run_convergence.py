@@ -49,8 +49,6 @@ def main() -> None:
     ap.add_argument("--t-step", type=int, default=100)
     ap.add_argument("--k", type=int, default=10, help="replications per t")
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--method", choices=["pr", "subgradient", "newton"],
-                    help="solver route (default: ExperimentConfig's)")
     ap.add_argument("--out", default=None, help="directory for convergence.csv")
     args = ap.parse_args()
 
@@ -60,9 +58,8 @@ def main() -> None:
         spec = random_md_spec(args.n, args.dim, seed=args.spec_seed)
 
     t_grid = tuple(range(args.t_min, args.t_max + 1, args.t_step))
-    route = {"method": args.method} if args.method else {}
     cfg = ExperimentConfig(spec=spec, mode="convergence", t_grid=t_grid,
-                           k=args.k, base_seed=args.base_seed, **route)
+                           k=args.k, base_seed=args.base_seed)
     res = run_convergence_sweep(cfg, out_dir=args.out)
 
     if res.nsw_star is not None:

@@ -10,9 +10,8 @@ and confidence intervals for welfare, multipliers, utilities, and
 revenue.
 """
 
-from .finite import (Certificate, CrossCheck, FiniteEquilibrium, KKTReport,
-                     cross_check_solvers, equilibrium_to_dict, save_equilibrium,
-                     solve_sample_eg, solve_sample_qeg, verify_kkt)
+from .finite import (Certificate, FiniteEquilibrium, KKTReport, equilibrium_to_dict,
+                     save_equilibrium, solve_sample_eg, solve_sample_qeg, verify_kkt)
 from .inference import (InferenceReport, build_report, ci_beta_u, ci_nsw, default_eta,
                         estimate_omega2, estimate_sigma2_nsw, hessian_numdiff,
                         report_table)

@@ -6,8 +6,9 @@
     fisher-infer coverage --config cfg.json [--out dir]
     fisher-infer qlin     --config cfg.json [--out dir]
 
-Config files are JSON with the ExperimentConfig fields; specs are JSON
-as written by save_spec.  FISHER_INFER_THREADS caps the worker pool.
+Config files are JSON with the ExperimentConfig fields, and their mode
+must be the one the command runs; specs are JSON as written by
+save_spec.  FISHER_INFER_THREADS caps the worker pool.
 `solve` exits 1 when the duality gap does not certify the equilibrium.
 """
 

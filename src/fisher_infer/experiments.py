@@ -49,7 +49,6 @@ class ExperimentConfig:
     base_seed: int = 0
     alpha: float = 0.05
     tol: float = 1e-9
-    method: str = "newton"
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -63,20 +62,6 @@ class ExperimentConfig:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "spec": spec_to_dict(cfg.spec),
-        "mode": cfg.mode,
-        "t_grid": list(cfg.t_grid),
-        "k": cfg.k,
-        "base_seed": cfg.base_seed,
-        "alpha": cfg.alpha,
-        "tol": cfg.tol,
-        "method": cfg.method,
-        "out_dir": cfg.out_dir,
-    }
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -101,7 +86,6 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         base_seed=int(data.get("base_seed", 0)),
         alpha=float(data.get("alpha", 0.05)),
         tol=float(data.get("tol", 1e-9)),
-        method=data.get("method", "newton"),
         out_dir=data.get("out_dir"),
     )
 
@@ -151,14 +135,14 @@ def _row_dtype(n: int) -> np.dtype:
 
 
 def _replication(args) -> ReplicationResult:
-    spec_dict, t, rep, seed, tol, method, qlin, alpha = args
+    spec_dict, t, rep, seed, tol, qlin, alpha = args
     spec = spec_from_dict(spec_dict)
     start = time.perf_counter()
     market = sample_items(spec, t, seed)
     if qlin:
-        eq = solve_sample_qeg(market, tol=tol, method=method)
+        eq = solve_sample_qeg(market, tol=tol)
     else:
-        eq = solve_sample_eg(market, tol=tol, method=method)
+        eq = solve_sample_eg(market, tol=tol)
     wall = time.perf_counter() - start
     nan = float("nan")
     if not eq.certificate.certified:
@@ -207,7 +191,7 @@ def _run_jobs(jobs: list) -> np.recarray:
 def _jobs_for(config: ExperimentConfig, t_values, qlin: bool) -> list:
     spec_dict = spec_to_dict(config.spec)
     return [(spec_dict, t, rep, derive_seed(config.base_seed, t, rep),
-             config.tol, config.method, qlin, config.alpha)
+             config.tol, qlin, config.alpha)
             for t in t_values for rep in range(config.k)]
 
 
@@ -239,13 +223,16 @@ def _out_path(config: ExperimentConfig, out_dir: str | None, name: str) -> str |
     return os.path.join(base, name)
 
 
-def _longrun_reference(spec: LongRunSpec, qlin: bool = False) -> LongRunEquilibrium | None:
-    """Exact long-run equilibrium of a 1-D linear spec; None for any other
-    valuation.  Solver errors propagate, so a sweep cannot silently lose
-    its reference."""
-    if not isinstance(spec.valuation, Linear1DValuation):
+def _longrun_reference(config: ExperimentConfig, mode: str) -> LongRunEquilibrium | None:
+    """Exact long-run equilibrium of config's spec for the runner of mode,
+    the first thing each runner does; None for a spec that is not 1-D
+    linear.  A config of another mode raises ValueError.  Solver errors
+    propagate, so a sweep cannot silently lose its reference."""
+    if config.mode != mode:
+        raise ValueError(f"config mode {config.mode!r} is not {mode!r}, the mode this runs")
+    if not isinstance(config.spec.valuation, Linear1DValuation):
         return None
-    return solve_longrun_qeg(spec) if qlin else solve_longrun_eg(spec)
+    return (solve_longrun_qeg if mode == "revenue_qlin" else solve_longrun_eg)(config.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +259,7 @@ def run_convergence_sweep(config: ExperimentConfig,
     error per t (and to the multiplier error norm).  Budgets that do
     not sum to 1 raise ValueError before any replication runs.
     """
-    star = _longrun_reference(config.spec)
+    star = _longrun_reference(config, "convergence")
     _require_unit_budgets(config.spec.budgets)
     nsw_star = star.nsw_star if star is not None else None
     beta_star = tuple(star.beta_star) if star is not None else None
@@ -335,7 +322,7 @@ def run_clt_experiment(config: ExperimentConfig, out_dir: str | None = None) -> 
     N(0, sigma2_nsw) of the long-run market.  A zero-variance market is
     reported as degenerate instead of tested.
     """
-    star = _longrun_reference(config.spec)
+    star = _longrun_reference(config, "clt")
     if star is None:
         raise ValueError("clt experiment needs a 1-D linear spec with an exact solution")
     t = config.t_grid[-1]
@@ -370,7 +357,7 @@ class CoverageResult:
 def run_coverage_experiment(config: ExperimentConfig,
                             out_dir: str | None = None) -> CoverageResult:
     """Empirical coverage of the NSW interval at the largest grid t."""
-    star = _longrun_reference(config.spec)
+    star = _longrun_reference(config, "coverage")
     if star is None:
         raise ValueError("coverage experiment needs a 1-D linear spec with an exact solution")
     t = config.t_grid[-1]
@@ -406,7 +393,7 @@ class QlinRevenueResult:
 def run_qlin_revenue(config: ExperimentConfig,
                      out_dir: str | None = None) -> QlinRevenueResult:
     """Revenue error sweep for the quasilinear market over t_grid."""
-    star = _longrun_reference(config.spec, qlin=True)
+    star = _longrun_reference(config, "revenue_qlin")
     if star is None:
         raise ValueError("revenue sweep needs a 1-D linear spec with an exact solution")
     rows = _run_jobs(_jobs_for(config, config.t_grid, qlin=True))
@@ -439,21 +426,14 @@ def run_qlin_revenue(config: ExperimentConfig,
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     """Dispatch on config.mode."""
-    if config.mode == "convergence":
-        return run_convergence_sweep(config, out_dir)
-    if config.mode == "clt":
-        return run_clt_experiment(config, out_dir)
-    if config.mode == "coverage":
-        return run_coverage_experiment(config, out_dir)
-    if config.mode == "revenue_qlin":
-        return run_qlin_revenue(config, out_dir)
-    raise ValueError(f"mode {config.mode!r} has no batch runner")
+    run = {"convergence": run_convergence_sweep, "clt": run_clt_experiment,
+           "coverage": run_coverage_experiment, "revenue_qlin": run_qlin_revenue}
+    return run[config.mode](config, out_dir)
 
 
 __all__ = [
     "MODES",
     "ExperimentConfig",
-    "config_to_dict",
     "config_from_dict",
     "load_config",
     "derive_seed",

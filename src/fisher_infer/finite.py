@@ -1,6 +1,6 @@
 """Equilibrium solvers for sampled markets.
 
-Three routes to the dual minimizer are provided and cross-checked:
+Three routes to the dual minimizer are provided:
 
 * "newton" (the default): damped Newton on a softmax-smoothed dual with
   the smoothing temperature driven to zero.  Its softmax exponentiates
@@ -275,13 +275,6 @@ def _split_tied_supply(V, i, tau, i0, tied_items, ref, targets, s, capped, X):
     return False
 
 
-def _attempt_pattern(V, b, bids, top, tie_rtol, tol, cap):
-    """Try to read off the exact equilibrium from the tie pattern of bids:
-    bids within tie_rtol of their item's top bid win it."""
-    winmask = (bids >= top[None, :] * (1.0 - tie_rtol)) & (top > 0)[None, :]
-    return _pattern_solve(V, b, winmask, tol, cap)
-
-
 def _pattern_solve(V, b, winmask, tol, cap):
     """The exact equilibrium in which buyer i wins item tau where
     winmask[i, tau] is set, or None if that pattern does not certify.
@@ -385,10 +378,13 @@ def _pattern_solve(V, b, winmask, tol, cap):
 
 
 def _polish(V, b, beta, tol, cap):
+    """The first certified _pattern_solve over the tie thresholds of
+    _candidate_rtols: bids within rtol of their item's top bid win it."""
     bids = beta[:, None] * V
     top = bids.max(axis=0)
     for rtol in _candidate_rtols(bids, top):
-        res = _attempt_pattern(V, b, bids, top, rtol, tol, cap)
+        winmask = (bids >= top[None, :] * (1.0 - rtol)) & (top > 0)[None, :]
+        res = _pattern_solve(V, b, winmask, tol, cap)
         if res is not None:
             return res
     return None
@@ -885,7 +881,7 @@ def solve_sample_qeg(
 
 
 # ---------------------------------------------------------------------------
-# Verification and cross-checks
+# Verification
 # ---------------------------------------------------------------------------
 
 
@@ -935,35 +931,6 @@ def verify_kkt(market: FiniteMarket, eq: FiniteEquilibrium, tol: float = 1e-7) -
                      comp_slack=comp_slack, passed=passed, tol=tol)
 
 
-@dataclass(frozen=True)
-class CrossCheck:
-    beta_pr: np.ndarray
-    beta_subgradient: np.ndarray
-    max_diff: float
-    agreed: bool
-
-
-def cross_check_solvers(market: FiniteMarket, tol: float = DEFAULT_TOL,
-                        qlin: bool = False) -> CrossCheck:
-    """Solve by both first-order routes and compare multipliers.
-
-    Raises if either route fails to certify; flags disagreement beyond
-    10 * tol, which indicates a bug in one of the routes rather than
-    ordinary numerical slack.
-    """
-    solve = solve_sample_qeg if qlin else solve_sample_eg
-    eq_pr = solve(market, tol=tol, method="pr")
-    eq_sub = solve(market, tol=tol, method="subgradient")
-    for eq, name in ((eq_pr, "pr"), (eq_sub, "subgradient")):
-        if not eq.certificate.certified:
-            raise RuntimeError(
-                f"{name} route did not certify "
-                f"(gap {eq.certificate.duality_gap:.3e} > {tol:.1e})")
-    diff = float(np.abs(eq_pr.beta - eq_sub.beta).max())
-    return CrossCheck(beta_pr=eq_pr.beta, beta_subgradient=eq_sub.beta,
-                      max_diff=diff, agreed=diff <= 10 * tol)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -1011,8 +978,6 @@ __all__ = [
     "solve_sample_qeg",
     "KKTReport",
     "verify_kkt",
-    "CrossCheck",
-    "cross_check_solvers",
     "equilibrium_to_dict",
     "save_equilibrium",
 ]

