@@ -42,8 +42,8 @@ def main() -> None:
     spec = symmetric_spec() if args.symmetric else random_linear1d_spec(
         args.n, seed=args.spec_seed)
     cfg = ExperimentConfig(spec=spec, mode="clt", t_grid=(args.t,),
-                           k=args.k, base_seed=args.base_seed)
-    res = run_clt_experiment(cfg, out_dir=args.out)
+                           k=args.k, base_seed=args.base_seed, out_dir=args.out)
+    res = run_clt_experiment(cfg)
 
     print(f"k = {len(res.samples)} samples of sqrt(t)(nsw_hat - nsw_star) at t = {args.t}")
     print(f"sigma2_nsw = {res.sigma2:.10f}")

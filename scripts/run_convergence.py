@@ -59,8 +59,8 @@ def main() -> None:
 
     t_grid = tuple(range(args.t_min, args.t_max + 1, args.t_step))
     cfg = ExperimentConfig(spec=spec, mode="convergence", t_grid=t_grid,
-                           k=args.k, base_seed=args.base_seed)
-    res = run_convergence_sweep(cfg, out_dir=args.out)
+                           k=args.k, base_seed=args.base_seed, out_dir=args.out)
+    res = run_convergence_sweep(cfg)
 
     if res.nsw_star is not None:
         print(f"nsw_star = {res.nsw_star:.10f}")

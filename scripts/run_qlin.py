@@ -41,8 +41,8 @@ def main() -> None:
         t_grid.append(t)
         t *= 2
     cfg = ExperimentConfig(spec=spec, mode="revenue_qlin", t_grid=tuple(t_grid),
-                           k=args.k, base_seed=args.base_seed)
-    res = run_qlin_revenue(cfg, out_dir=args.out)
+                           k=args.k, base_seed=args.base_seed, out_dir=args.out)
+    res = run_qlin_revenue(cfg)
 
     print(f"rev_star = {res.rev_star:.10f}")
     print(f"{'t':>6}  {'mean_abs_err':>12}  {'stderr':>10}")

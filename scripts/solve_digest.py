@@ -4,8 +4,11 @@ Solves each market of a corpus with each of the corpus's solves (the
 default route, except in the PR corpus) and prints one line per corpus:
 its name, the number of solves, how many certified, and a SHA-256 over
 every solve's beta, u, p and X bytes, repr(nsw), the certificate's
-method and repr(gap).  Two source trees that print the
-same lines computed bit-identical results.  numpy only; no arguments.
+method and repr(gap).  A last line, `harness`, runs each experiment mode
+at tiny sizes into a temporary directory and hashes the CSVs it writes,
+with the count of replications and of certified ones.  Two source trees
+that print the same lines computed bit-identical results.  numpy only;
+no arguments.
 
 Example:
     python scripts/solve_digest.py
@@ -17,11 +20,13 @@ import hashlib
 import itertools
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from fisher_infer.experiments import ExperimentConfig, run_experiment
 from fisher_infer.finite import solve_sample_eg, solve_sample_qeg
 from fisher_infer.markets import FiniteMarket, random_linear1d_spec, sample_items
 from run_clt import symmetric_spec
@@ -100,6 +105,38 @@ def corpora():
     yield "pr_small", pr, itertools.chain(small_markets(60), escalating)
 
 
+def harness_configs():
+    """One tiny config per experiment mode, and the convergence sweep on
+    both a 1-D market and M2 (n=50, d=10)."""
+    sym = symmetric_spec()
+    qlin = dataclasses.replace(sym, budgets=np.array([0.8, 0.6]))
+    yield ExperimentConfig(spec=random_linear1d_spec(5, 42), mode="convergence",
+                           t_grid=(50, 200), k=3)
+    yield ExperimentConfig(spec=random_md_spec(50, 10, 42), mode="convergence",
+                           t_grid=(50, 100), k=2)
+    yield ExperimentConfig(spec=sym, mode="clt", t_grid=(400,), k=20)
+    yield ExperimentConfig(spec=sym, mode="coverage", t_grid=(300,), k=20)
+    yield ExperimentConfig(spec=qlin, mode="revenue_qlin", t_grid=(100, 400), k=4)
+
+
+def harness_digest(configs):
+    """Runs each config into its own temporary directory; returns the
+    replication count, how many certified, and a SHA-256 over the name
+    and bytes of every CSV written."""
+    h = hashlib.sha256()
+    count = certified = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, config in enumerate(configs):
+            out = os.path.join(tmp, str(index))
+            rows = run_experiment(dataclasses.replace(config, out_dir=out)).rows
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    h.update(name.encode() + b"\n" + fh.read())
+            count += len(rows)
+            certified += int((rows.status == "ok").sum())
+    return count, certified, h.hexdigest()
+
+
 def digest(solves, markets):
     h = hashlib.sha256()
     count = certified = 0
@@ -119,6 +156,8 @@ def main() -> None:
     for name, solves, markets in corpora():
         count, certified, hexdigest = digest(solves, markets)
         print(f"{name} count={count} certified={certified} sha256={hexdigest}", flush=True)
+    count, certified, hexdigest = harness_digest(harness_configs())
+    print(f"harness count={count} certified={certified} sha256={hexdigest}")
 
 
 if __name__ == "__main__":

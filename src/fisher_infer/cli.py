@@ -7,19 +7,21 @@
     fisher-infer qlin     --config cfg.json [--out dir]
 
 Config files are JSON with the ExperimentConfig fields, and their mode
-must be the one the command runs; specs are JSON as written by
-save_spec.  FISHER_INFER_THREADS caps the worker pool.
+must be the one the command runs; --out replaces the config's out_dir.
+Specs are JSON as written by save_spec.  FISHER_INFER_THREADS caps the
+worker pool.
 `solve` exits 1 when the duality gap does not certify the equilibrium.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .experiments import (load_config, run_clt_experiment, run_convergence_sweep,
-                          run_coverage_experiment, run_qlin_revenue)
+from .experiments import (ExperimentConfig, load_config, run_clt_experiment,
+                          run_convergence_sweep, run_coverage_experiment, run_qlin_revenue)
 from .finite import save_equilibrium, solve_sample_eg, solve_sample_qeg
 from .inference import build_report, report_table
 from .markets import load_spec, sample_items
@@ -45,9 +47,14 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _load(args) -> ExperimentConfig:
+    """The config of an experiment command, with --out as its out_dir."""
     config = load_config(args.config)
-    res = run_convergence_sweep(config, out_dir=args.out)
+    return config if args.out is None else dataclasses.replace(config, out_dir=args.out)
+
+
+def _cmd_sweep(args) -> int:
+    res = run_convergence_sweep(_load(args))
     for e in res.summary:
         print(f"t={e['t']:>6}  ok={e['n_ok']:>4}  failed={e['n_failed']:>3}  "
               f"mean_nsw={e['mean_nsw']: .6f}  mean_abs_err={e['mean_abs_err']:.3e}")
@@ -59,8 +66,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    config = load_config(args.config)
-    res = run_clt_experiment(config, out_dir=args.out)
+    res = run_clt_experiment(_load(args))
     if res.degenerate:
         print("degenerate market: sigma2_nsw = 0, all samples coincide")
         return 0
@@ -71,8 +77,8 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    config = load_config(args.config)
-    res = run_coverage_experiment(config, out_dir=args.out)
+    config = _load(args)
+    res = run_coverage_experiment(config)
     print(f"nsw_star = {res.nsw_star:.6f}")
     print(f"coverage = {res.coverage:.4f} +- {res.stderr:.4f} "
           f"(target {1 - config.alpha:.2f}, k = {len(res.covered)})")
@@ -80,8 +86,7 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_qlin(args) -> int:
-    config = load_config(args.config)
-    res = run_qlin_revenue(config, out_dir=args.out)
+    res = run_qlin_revenue(_load(args))
     print(f"rev_star = {res.rev_star:.6f}")
     for e in res.summary:
         print(f"t={e['t']:>6}  ok={e['n_ok']:>4}  mean_abs_err={e['mean_abs_err']:.3e}")
@@ -114,7 +119,7 @@ def main(argv=None) -> int:
             ("qlin", _cmd_qlin, "quasilinear revenue sweep")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", help="directory for CSV outputs (default: config out_dir)")
+        p.add_argument("--out", help="directory for CSV outputs (replaces the config's out_dir)")
         p.set_defaults(func=func)
 
     args = parser.parse_args(argv)

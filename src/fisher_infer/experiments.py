@@ -5,10 +5,11 @@ it, record estimates).  Replications are the unit of parallelism; each
 one is pure given its seed, results are reduced in (t, rep) order, and
 per-replication seeds depend only on (base_seed, t, rep), so output
 files are byte-identical no matter how many workers run.  FISHER_INFER_THREADS
-caps the worker pool.
+caps the worker pool.  Each run_* takes only the config; a run writes
+its CSV into config.out_dir, or no file when that is None.
 
 Each run_* result holds its replications as one numpy record array,
-`rows`, with the fields of ReplicationResult: a column per field
+`rows`, with the fields of _row_dtype: a column per field
 (rows.nsw_hat) and a record per replication (rows[0].status).
 
 CSV column sets are fixed:
@@ -26,7 +27,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,27 +106,10 @@ def derive_seed(base_seed: int, t: int, rep: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class ReplicationResult(NamedTuple):
-    """One replication, as the worker returns it.  Fields that the mode or
-    an uncertified solve leaves empty are NaN; ci is (lo, hi), and
-    beta_hat and u_hat hold one entry per buyer."""
-
-    t: int
-    rep: int
-    seed: int
-    status: str
-    wall_time: float
-    nsw_hat: float
-    rev_hat: float
-    sigma2_hat: float
-    ci: tuple[float, float]
-    beta_hat: np.ndarray
-    u_hat: np.ndarray
-    comp_slack: float
-
-
 def _row_dtype(n: int) -> np.dtype:
-    """ReplicationResult's fields as one record of 124 + 16 n bytes."""
+    """One replication as one record of 124 + 16 n bytes.  Fields that the
+    mode or an uncertified solve leaves empty are NaN; ci is (lo, hi), and
+    beta_hat and u_hat hold one entry per buyer."""
     return np.dtype([("t", np.int64), ("rep", np.int64), ("seed", np.uint64),
                      ("status", "U11"), ("wall_time", float), ("nsw_hat", float),
                      ("rev_hat", float), ("sigma2_hat", float), ("ci", float, (2,)),
@@ -134,7 +117,8 @@ def _row_dtype(n: int) -> np.dtype:
                      ("comp_slack", float)])
 
 
-def _replication(args) -> ReplicationResult:
+def _replication(args) -> tuple:
+    """One replication as a tuple in _row_dtype's field order."""
     spec_dict, t, rep, seed, tol, qlin, alpha = args
     spec = spec_from_dict(spec_dict)
     start = time.perf_counter()
@@ -148,16 +132,14 @@ def _replication(args) -> ReplicationResult:
     if not eq.certificate.certified:
         # recorded, not fatal: the row is flagged and skipped in summaries
         empty = np.full(market.n, nan)
-        return ReplicationResult(t, rep, seed, "uncertified", wall, nan, nan, nan,
-                                 (nan, nan), empty, empty, nan)
+        return (t, rep, seed, "uncertified", wall, nan, nan, nan, (nan, nan),
+                empty, empty, nan)
     if qlin:
         comp = float(np.abs(eq.delta * (1.0 - eq.beta)).max())
-        return ReplicationResult(t, rep, seed, "ok", wall, nan, eq.rev, nan, (nan, nan),
-                                 eq.beta, eq.u, comp)
+        return (t, rep, seed, "ok", wall, nan, eq.rev, nan, (nan, nan), eq.beta, eq.u, comp)
     sigma2_hat = estimate_sigma2_nsw(eq.p)
     ci = ci_nsw(eq.nsw, sigma2_hat, t, alpha)
-    return ReplicationResult(t, rep, seed, "ok", wall, eq.nsw, nan, sigma2_hat, ci,
-                             eq.beta, eq.u, nan)
+    return (t, rep, seed, "ok", wall, eq.nsw, nan, sigma2_hat, ci, eq.beta, eq.u, nan)
 
 
 def _worker_cap(njobs: int) -> int:
@@ -171,9 +153,16 @@ def _worker_cap(njobs: int) -> int:
     return max(1, min(cap, njobs))
 
 
-def _run_jobs(jobs: list) -> np.recarray:
-    """The replications of jobs as one record array in (t, rep) order;
-    one record costs far less memory than one tuple of Python objects."""
+def _run_jobs(config: ExperimentConfig, t_values) -> np.recarray:
+    """The k replications of config at each t of t_values as one record
+    array in (t, rep) order, the order in which the jobs are listed and
+    both maps return them; one record costs far less memory than one
+    tuple of Python objects."""
+    spec_dict = spec_to_dict(config.spec)
+    qlin = config.mode == "revenue_qlin"
+    jobs = [(spec_dict, t, rep, derive_seed(config.base_seed, t, rep),
+             config.tol, qlin, config.alpha)
+            for t in t_values for rep in range(config.k)]
     workers = _worker_cap(len(jobs))
     if workers == 1:
         results = [_replication(j) for j in jobs]
@@ -184,15 +173,7 @@ def _run_jobs(jobs: list) -> np.recarray:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication, jobs,
                                     chunksize=max(1, len(jobs) // (4 * workers))))
-    results.sort(key=lambda r: r[:2])
-    return np.array(results, dtype=_row_dtype(len(results[0].beta_hat))).view(np.recarray)
-
-
-def _jobs_for(config: ExperimentConfig, t_values, qlin: bool) -> list:
-    spec_dict = spec_to_dict(config.spec)
-    return [(spec_dict, t, rep, derive_seed(config.base_seed, t, rep),
-             config.tol, qlin, config.alpha)
-            for t in t_values for rep in range(config.k)]
+    return np.array(results, dtype=_row_dtype(config.spec.n)).view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
@@ -208,31 +189,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> None:
+    """Write name into config.out_dir; nothing when out_dir is None."""
+    if config.out_dir is None:
+        return
+    os.makedirs(config.out_dir, exist_ok=True)
+    with open(os.path.join(config.out_dir, name), "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _out_path(config: ExperimentConfig, out_dir: str | None, name: str) -> str | None:
-    base = out_dir if out_dir is not None else config.out_dir
-    if base is None:
-        return None
-    return os.path.join(base, name)
-
-
 def _longrun_reference(config: ExperimentConfig, mode: str) -> LongRunEquilibrium | None:
     """Exact long-run equilibrium of config's spec for the runner of mode,
-    the first thing each runner does; None for a spec that is not 1-D
-    linear.  A config of another mode raises ValueError.  Solver errors
-    propagate, so a sweep cannot silently lose its reference."""
+    the first thing each runner does.  A spec that is not 1-D linear has
+    none: the convergence sweep gets None, every other mode a ValueError,
+    as does a config of another mode.  Solver errors propagate, so a
+    sweep cannot silently lose its reference."""
     if config.mode != mode:
         raise ValueError(f"config mode {config.mode!r} is not {mode!r}, the mode this runs")
     if not isinstance(config.spec.valuation, Linear1DValuation):
-        return None
+        if mode == "convergence":
+            return None
+        raise ValueError(f"{mode} needs a 1-D linear spec with an exact long-run solution")
     return (solve_longrun_qeg if mode == "revenue_qlin" else solve_longrun_eg)(config.spec)
+
+
+def _rate(summary: list[dict], key: str) -> RateFit | None:
+    """The log-log rate of summary's key over t, fit to the entries where
+    it is positive (a NaN mean is not); None with fewer than two."""
+    pts = [(e["t"], e[key]) for e in summary if e[key] > 0]
+    return fit_rate(pts) if len(pts) >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +237,7 @@ class ConvergenceResult:
     beta_rate: RateFit | None
 
 
-def run_convergence_sweep(config: ExperimentConfig,
-                          out_dir: str | None = None) -> ConvergenceResult:
+def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceResult:
     """Welfare error sweep over t_grid with k replications each.
 
     When the spec admits an exact long-run solution, absolute errors
@@ -263,15 +249,11 @@ def run_convergence_sweep(config: ExperimentConfig,
     _require_unit_budgets(config.spec.budgets)
     nsw_star = star.nsw_star if star is not None else None
     beta_star = tuple(star.beta_star) if star is not None else None
-    rows = _run_jobs(_jobs_for(config, config.t_grid, qlin=False))
+    rows = _run_jobs(config, config.t_grid)
     ref = nsw_star if nsw_star is not None else float("nan")
     err = np.abs(rows.nsw_hat - ref)
-
-    path = _out_path(config, out_dir, "convergence.csv")
-    if path:
-        _write_csv(path, ["t", "rep", "seed", "nsw_hat", "nsw_star", "abs_err"],
-                   zip(rows.t, rows.rep, rows.seed, rows.nsw_hat,
-                       np.full(len(rows), ref), err))
+    _write_csv(config, "convergence.csv", ["t", "rep", "seed", "nsw_hat", "nsw_star", "abs_err"],
+               zip(rows.t, rows.rep, rows.seed, rows.nsw_hat, np.full(len(rows), ref), err))
 
     summary = []
     ok = rows.status == "ok"
@@ -283,26 +265,14 @@ def run_convergence_sweep(config: ExperimentConfig,
                  "mean_abs_err": float("nan"), "mean_beta_err": float("nan")}
         if good.any():
             entry["mean_nsw"], entry["stderr_nsw"] = summarize_reps(rows.nsw_hat[good])
-            if nsw_star is not None:
+            if star is not None:
                 entry["mean_abs_err"], _ = summarize_reps(err[good])
-            if beta_star is not None:
                 entry["mean_beta_err"], _ = summarize_reps(
-                    [np.linalg.norm(beta - star.beta_star)
-                     for beta in rows.beta_hat[good]])
+                    [np.linalg.norm(beta - star.beta_star) for beta in rows.beta_hat[good]])
         summary.append(entry)
-
-    nsw_rate = beta_rate = None
-    if nsw_star is not None:
-        pts = [(e["t"], e["mean_abs_err"]) for e in summary
-               if e["n_ok"] > 0 and e["mean_abs_err"] > 0]
-        if len(pts) >= 2:
-            nsw_rate = fit_rate(pts)
-        bpts = [(e["t"], e["mean_beta_err"]) for e in summary
-                if e["n_ok"] > 0 and e["mean_beta_err"] > 0]
-        if len(bpts) >= 2:
-            beta_rate = fit_rate(bpts)
     return ConvergenceResult(rows=rows, summary=summary, nsw_star=nsw_star,
-                             beta_star=beta_star, nsw_rate=nsw_rate, beta_rate=beta_rate)
+                             beta_star=beta_star, nsw_rate=_rate(summary, "mean_abs_err"),
+                             beta_rate=_rate(summary, "mean_beta_err"))
 
 
 @dataclass(frozen=True)
@@ -315,7 +285,7 @@ class CltResult:
     degenerate: bool
 
 
-def run_clt_experiment(config: ExperimentConfig, out_dir: str | None = None) -> CltResult:
+def run_clt_experiment(config: ExperimentConfig) -> CltResult:
     """Distribution of sqrt(t) (nsw_hat - nsw_star) at the largest grid t.
 
     Emits the k centered, scaled samples and tests them against
@@ -323,18 +293,13 @@ def run_clt_experiment(config: ExperimentConfig, out_dir: str | None = None) -> 
     reported as degenerate instead of tested.
     """
     star = _longrun_reference(config, "clt")
-    if star is None:
-        raise ValueError("clt experiment needs a 1-D linear spec with an exact solution")
     t = config.t_grid[-1]
     sig2 = sigma2_nsw(star)
-    rows = _run_jobs(_jobs_for(config, [t], qlin=False))
+    rows = _run_jobs(config, [t])
     good = rows[rows.status == "ok"]
     samples = math.sqrt(t) * (good.nsw_hat - star.nsw_star)
-
-    path = _out_path(config, out_dir, "clt.csv")
-    if path:
-        _write_csv(path, ["rep", "seed", "standardized_nsw"],
-                   zip(good.rep, good.seed, samples))
+    _write_csv(config, "clt.csv", ["rep", "seed", "standardized_nsw"],
+               zip(good.rep, good.seed, samples))
 
     degenerate = sig2 <= 0
     ks = qq = None
@@ -354,25 +319,18 @@ class CoverageResult:
     nsw_star: float
 
 
-def run_coverage_experiment(config: ExperimentConfig,
-                            out_dir: str | None = None) -> CoverageResult:
+def run_coverage_experiment(config: ExperimentConfig) -> CoverageResult:
     """Empirical coverage of the NSW interval at the largest grid t."""
     star = _longrun_reference(config, "coverage")
-    if star is None:
-        raise ValueError("coverage experiment needs a 1-D linear spec with an exact solution")
-    t = config.t_grid[-1]
-    rows = _run_jobs(_jobs_for(config, [t], qlin=False))
+    rows = _run_jobs(config, config.t_grid[-1:])
     good = rows[rows.status == "ok"]
     lo, hi = good.ci.T
     # roundoff slack: zero-variance markets produce zero-width intervals
     # that sit within an ulp of the target; containment must not break there
     slack = 1e-12 * max(1.0, abs(star.nsw_star))
     covered = (lo - slack <= star.nsw_star) & (star.nsw_star <= hi + slack)
-
-    path = _out_path(config, out_dir, "coverage.csv")
-    if path:
-        _write_csv(path, ["rep", "seed", "lo", "hi", "covered"],
-                   zip(good.rep, good.seed, lo, hi, covered))
+    _write_csv(config, "coverage.csv", ["rep", "seed", "lo", "hi", "covered"],
+               zip(good.rep, good.seed, lo, hi, covered))
 
     k = len(covered)
     frac = int(covered.sum()) / k if k else float("nan")
@@ -390,20 +348,13 @@ class QlinRevenueResult:
     max_comp_slack: float
 
 
-def run_qlin_revenue(config: ExperimentConfig,
-                     out_dir: str | None = None) -> QlinRevenueResult:
+def run_qlin_revenue(config: ExperimentConfig) -> QlinRevenueResult:
     """Revenue error sweep for the quasilinear market over t_grid."""
     star = _longrun_reference(config, "revenue_qlin")
-    if star is None:
-        raise ValueError("revenue sweep needs a 1-D linear spec with an exact solution")
-    rows = _run_jobs(_jobs_for(config, config.t_grid, qlin=True))
+    rows = _run_jobs(config, config.t_grid)
     err = np.abs(rows.rev_hat - star.rev)
-
-    path = _out_path(config, out_dir, "qlin.csv")
-    if path:
-        _write_csv(path, ["t", "rep", "seed", "rev_hat", "rev_star", "abs_err"],
-                   zip(rows.t, rows.rep, rows.seed, rows.rev_hat,
-                       np.full(len(rows), star.rev), err))
+    _write_csv(config, "qlin.csv", ["t", "rep", "seed", "rev_hat", "rev_star", "abs_err"],
+               zip(rows.t, rows.rep, rows.seed, rows.rev_hat, np.full(len(rows), star.rev), err))
 
     summary = []
     ok = rows.status == "ok"
@@ -415,20 +366,18 @@ def run_qlin_revenue(config: ExperimentConfig,
         if good.any():
             entry["mean_abs_err"], entry["stderr_abs_err"] = summarize_reps(err[good])
         summary.append(entry)
-    pts = [(e["t"], e["mean_abs_err"]) for e in summary
-           if e["n_ok"] > 0 and e["mean_abs_err"] > 0]
-    rate = fit_rate(pts) if len(pts) >= 2 else None
     slacks = rows.comp_slack[ok]
     worst = float(slacks.max()) if slacks.size else float("nan")
-    return QlinRevenueResult(rows=rows, summary=summary, rev_star=star.rev, rate=rate,
+    return QlinRevenueResult(rows=rows, summary=summary, rev_star=star.rev,
+                             rate=_rate(summary, "mean_abs_err"),
                              max_comp_slack=worst)
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
+def run_experiment(config: ExperimentConfig):
     """Dispatch on config.mode."""
     run = {"convergence": run_convergence_sweep, "clt": run_clt_experiment,
            "coverage": run_coverage_experiment, "revenue_qlin": run_qlin_revenue}
-    return run[config.mode](config, out_dir)
+    return run[config.mode](config)
 
 
 __all__ = [
@@ -437,7 +386,6 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "derive_seed",
-    "ReplicationResult",
     "ConvergenceResult",
     "run_convergence_sweep",
     "CltResult",

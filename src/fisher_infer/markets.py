@@ -178,24 +178,19 @@ class FiniteMarket:
         return self.V.shape[1]
 
 
-def normalize_spec(spec: LongRunSpec, budgets: bool = True, values: bool = True) -> LongRunSpec:
-    """Rescale a spec so mean values are 1 (and budgets sum to 1 if asked).
+def normalize_spec(spec: LongRunSpec) -> LongRunSpec:
+    """Rescale a spec so mean values are 1 and budgets sum to 1.
 
     Scaling buyer i's value function by a positive constant only rescales
     that buyer's multiplier, so equilibrium allocations are unchanged.
-    Budget scaling is skipped for quasilinear use, where the absolute
-    budget level matters.
     """
     m = spec.valuation.means()
-    if values:
-        if isinstance(spec.valuation, Linear1DValuation):
-            val = Linear1DValuation(c=spec.valuation.c / m, d=spec.valuation.d / m)
-        else:
-            val = LinearMDValuation(a=spec.valuation.a / m[:, None], c=spec.valuation.c / m)
+    if isinstance(spec.valuation, Linear1DValuation):
+        val = Linear1DValuation(c=spec.valuation.c / m, d=spec.valuation.d / m)
     else:
-        val = spec.valuation
-    b = spec.budgets / spec.budgets.sum() if budgets else spec.budgets
-    return LongRunSpec(budgets=b, valuation=val, supply=spec.supply)
+        val = LinearMDValuation(a=spec.valuation.a / m[:, None], c=spec.valuation.c / m)
+    return LongRunSpec(budgets=spec.budgets / spec.budgets.sum(), valuation=val,
+                       supply=spec.supply)
 
 
 def sample_items(spec: LongRunSpec, t: int, seed: int) -> FiniteMarket:

@@ -6,6 +6,7 @@ The k=2000 replication batch at t=2000 is module-scoped and shared by
 the two criteria that reference those settings.
 """
 
+import dataclasses
 import math
 import time
 
@@ -388,8 +389,8 @@ def test_criterion_12_deterministic_csvs(tmp_path, monkeypatch):
     for workers in ("1", "8"):
         monkeypatch.setenv("FISHER_INFER_THREADS", workers)
         d = tmp_path / f"w{workers}"
-        run_convergence_sweep(sweep_cfg, out_dir=str(d))
-        run_coverage_experiment(cov_cfg, out_dir=str(d))
+        run_convergence_sweep(dataclasses.replace(sweep_cfg, out_dir=str(d)))
+        run_coverage_experiment(dataclasses.replace(cov_cfg, out_dir=str(d)))
         outputs[workers] = ((d / "convergence.csv").read_bytes(),
                             (d / "coverage.csv").read_bytes())
     elapsed = time.perf_counter() - start

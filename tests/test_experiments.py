@@ -23,7 +23,6 @@ from fisher_infer.experiments import (
     CoverageResult,
     ExperimentConfig,
     QlinRevenueResult,
-    ReplicationResult,
     config_from_dict,
     derive_seed,
     load_config,
@@ -134,9 +133,9 @@ def test_load_config_resolves_spec_path(tmp_path, symmetric_spec):
 def test_csv_byte_identical_across_worker_counts(tmp_path, symmetric_spec, monkeypatch):
     cfg = _mini_config(symmetric_spec)
     monkeypatch.setenv("FISHER_INFER_THREADS", "1")
-    run_convergence_sweep(cfg, out_dir=str(tmp_path / "serial"))
+    run_convergence_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "serial")))
     monkeypatch.setenv("FISHER_INFER_THREADS", "8")
-    run_convergence_sweep(cfg, out_dir=str(tmp_path / "parallel"))
+    run_convergence_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "parallel")))
     serial = (tmp_path / "serial" / "convergence.csv").read_bytes()
     parallel = (tmp_path / "parallel" / "convergence.csv").read_bytes()
     assert serial == parallel
@@ -162,8 +161,8 @@ def test_import_leaves_the_pool_module_out():
 
 def test_rerun_reproduces_csv(tmp_path, symmetric_spec):
     cfg = _mini_config(symmetric_spec, mode="coverage", t_grid=(50,), k=6)
-    run_coverage_experiment(cfg, out_dir=str(tmp_path / "a"))
-    run_coverage_experiment(cfg, out_dir=str(tmp_path / "b"))
+    run_coverage_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "a")))
+    run_coverage_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
     assert (tmp_path / "a" / "coverage.csv").read_bytes() == \
         (tmp_path / "b" / "coverage.csv").read_bytes()
 
@@ -182,7 +181,7 @@ def test_results_ordered_by_t_then_rep(symmetric_spec, monkeypatch):
 
 def test_convergence_csv_layout(tmp_path, symmetric_spec):
     cfg = _mini_config(symmetric_spec)
-    run_convergence_sweep(cfg, out_dir=str(tmp_path))
+    run_convergence_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path)))
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == "t,rep,seed,nsw_hat,nsw_star,abs_err"
     assert len(lines) == 1 + len(cfg.t_grid) * cfg.k
@@ -217,7 +216,7 @@ def test_convergence_rejects_unnormalized_budgets_before_solving(budgets, monkey
                        valuation=LinearMDValuation(a=np.eye(2), c=np.array([0.5, 0.5])),
                        supply=UniformCubeSupply(dim=2))
 
-    def no_jobs(jobs):
+    def no_jobs(config, t_values):
         raise AssertionError("replications dispatched")
 
     monkeypatch.setattr(experiments, "_run_jobs", no_jobs)
@@ -254,7 +253,7 @@ def test_convergence_flags_uncertified_rows(five_buyer_spec):
 
 def test_clt_csv_layout_and_samples(tmp_path, symmetric_spec):
     cfg = _mini_config(symmetric_spec, mode="clt", t_grid=(400,), k=12)
-    res = run_clt_experiment(cfg, out_dir=str(tmp_path))
+    res = run_clt_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path)))
     lines = (tmp_path / "clt.csv").read_text().splitlines()
     assert lines[0] == "rep,seed,standardized_nsw"
     assert len(lines) == 1 + 12
@@ -286,11 +285,11 @@ def test_clt_requires_exact_reference():
                                     c=np.array([0.1, 0.1])),
         supply=UniformCubeSupply(dim=2),
     )
-    cfg = _mini_config(spec, mode="clt", t_grid=(100,), k=3)
-    with pytest.raises(ValueError, match="1-D linear spec"):
-        run_clt_experiment(cfg)
-    with pytest.raises(ValueError, match="1-D linear spec"):
-        run_coverage_experiment(dataclasses.replace(cfg, mode="coverage"))
+    cfg = _mini_config(spec, t_grid=(100,), k=3)
+    for mode, run in (("clt", run_clt_experiment), ("coverage", run_coverage_experiment),
+                      ("revenue_qlin", run_qlin_revenue)):
+        with pytest.raises(ValueError, match=f"^{mode} needs a 1-D linear spec"):
+            run(dataclasses.replace(cfg, mode=mode))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def test_clt_requires_exact_reference():
 
 def test_coverage_csv_layout(tmp_path, symmetric_spec):
     cfg = _mini_config(symmetric_spec, mode="coverage", t_grid=(300,), k=20)
-    res = run_coverage_experiment(cfg, out_dir=str(tmp_path))
+    res = run_coverage_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path)))
     lines = (tmp_path / "coverage.csv").read_text().splitlines()
     assert lines[0] == "rep,seed,lo,hi,covered"
     assert len(lines) == 1 + 20
@@ -333,7 +332,7 @@ def test_qlin_boundary_single_buyer_exact(tmp_path):
     # b=2 caps beta at 1, so rev_hat = mean value = 1 identically
     cfg = _mini_config(_single_buyer_spec(budget=2.0), mode="revenue_qlin",
                        t_grid=(50, 200), k=3)
-    res = run_qlin_revenue(cfg, out_dir=str(tmp_path))
+    res = run_qlin_revenue(dataclasses.replace(cfg, out_dir=str(tmp_path)))
     assert res.rev_star == pytest.approx(1.0, abs=1e-10)
     for r in res.rows:
         assert r.status == "ok"
@@ -408,7 +407,9 @@ def test_default_route_writes_the_pr_route_csvs(mode, csv, spec, t_grid, k):
 def test_rows_are_one_record_array(symmetric_spec, five_buyer_spec):
     res = run_clt_experiment(_mini_config(symmetric_spec, mode="clt", t_grid=(200,), k=5))
     rows = res.rows
-    assert isinstance(rows, np.recarray) and rows.dtype.names == ReplicationResult._fields
+    assert isinstance(rows, np.recarray) and rows.dtype.names == (
+        "t", "rep", "seed", "status", "wall_time", "nsw_hat", "rev_hat", "sigma2_hat", "ci",
+        "beta_hat", "u_hat", "comp_slack")
     assert rows.beta_hat.shape == (5, 2) and rows.u_hat.shape == (5, 2)
     assert rows.ci.shape == (5, 2) and np.all(rows.ci[:, 0] < rows.ci[:, 1])
     assert list(rows.rep) == list(range(5)) and all(rows.status == "ok")
@@ -552,7 +553,7 @@ def test_a_config_of_another_mode_is_an_error(cli_files, capsys, command, run, m
     assert repr(data["mode"]) in err and repr(mode) in err
     assert not (tmp_path / "res").exists()
     with pytest.raises(ValueError, match=repr(mode)):
-        run(load_config(str(cfg_path)), out_dir=str(tmp_path / "res"))
+        run(dataclasses.replace(load_config(str(cfg_path)), out_dir=str(tmp_path / "res")))
     assert not (tmp_path / "res").exists()
 
 
