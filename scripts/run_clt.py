@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fisher_infer.experiments import ExperimentConfig, run_clt_experiment
+from fisher_infer.experiments import ExperimentConfig, run_clt_experiment, summary_table
 from fisher_infer.markets import Linear1DValuation, LongRunSpec, random_linear1d_spec
 
 
@@ -43,20 +43,7 @@ def main() -> None:
         args.n, seed=args.spec_seed)
     cfg = ExperimentConfig(spec=spec, mode="clt", t_grid=(args.t,),
                            k=args.k, base_seed=args.base_seed, out_dir=args.out)
-    res = run_clt_experiment(cfg)
-
-    print(f"k = {len(res.samples)} samples of sqrt(t)(nsw_hat - nsw_star) at t = {args.t}")
-    print(f"sigma2_nsw = {res.sigma2:.10f}")
-    if res.degenerate:
-        print("market is degenerate (zero asymptotic variance); no test run")
-    else:
-        print(f"sample mean = {res.samples.mean():.5f}, "
-              f"sample var = {res.samples.var(ddof=1):.5f}")
-        print(f"KS: D = {res.ks.d_stat:.4f}, p = {res.ks.p_value:.4f} (n = {res.ks.n})")
-        slope = float(np.polyfit(res.qq[:, 0], res.qq[:, 1], 1)[0])
-        print(f"QQ slope vs N(0, sigma2_nsw): {slope:.4f} (1.0 if exactly normal)")
-    if args.out:
-        print(f"samples written to {os.path.join(args.out, 'clt.csv')}")
+    print(summary_table(run_clt_experiment(cfg)))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fisher_infer.experiments import ExperimentConfig, run_convergence_sweep
+from fisher_infer.experiments import ExperimentConfig, run_convergence_sweep, summary_table
 from fisher_infer.markets import (
     LinearMDValuation,
     LongRunSpec,
@@ -60,29 +60,7 @@ def main() -> None:
     t_grid = tuple(range(args.t_min, args.t_max + 1, args.t_step))
     cfg = ExperimentConfig(spec=spec, mode="convergence", t_grid=t_grid,
                            k=args.k, base_seed=args.base_seed, out_dir=args.out)
-    res = run_convergence_sweep(cfg)
-
-    if res.nsw_star is not None:
-        print(f"nsw_star = {res.nsw_star:.10f}")
-        print(f"{'t':>6}  {'mean_nsw':>12}  {'stderr':>10}  {'mean_abs_err':>12}")
-        for e in res.summary:
-            print(f"{e['t']:>6}  {e['mean_nsw']:>12.8f}  {e['stderr_nsw']:>10.2e}  "
-                  f"{e['mean_abs_err']:>12.2e}")
-        if res.nsw_rate is not None:
-            print(f"nsw error rate: t^{res.nsw_rate.slope:.3f} (r2 = {res.nsw_rate.r2:.3f})")
-        if res.beta_rate is not None:
-            print(f"beta error rate: t^{res.beta_rate.slope:.3f} (r2 = {res.beta_rate.r2:.3f})")
-    else:
-        print("no exact long-run reference for this spec; reporting means only")
-        print(f"{'t':>6}  {'mean_nsw':>12}  {'stderr':>10}")
-        for e in res.summary:
-            print(f"{e['t']:>6}  {e['mean_nsw']:>12.8f}  {e['stderr_nsw']:>10.2e}")
-
-    failed = sum(e["n_failed"] for e in res.summary)
-    if failed:
-        print(f"warning: {failed} replications did not certify")
-    if args.out:
-        print(f"rows written to {os.path.join(args.out, 'convergence.csv')}")
+    print(summary_table(run_convergence_sweep(cfg)))
 
 
 if __name__ == "__main__":

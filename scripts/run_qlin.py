@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fisher_infer.experiments import ExperimentConfig, run_qlin_revenue
+from fisher_infer.experiments import ExperimentConfig, run_qlin_revenue, summary_table
 from fisher_infer.markets import Linear1DValuation, LongRunSpec
 
 
@@ -42,17 +42,7 @@ def main() -> None:
         t *= 2
     cfg = ExperimentConfig(spec=spec, mode="revenue_qlin", t_grid=tuple(t_grid),
                            k=args.k, base_seed=args.base_seed, out_dir=args.out)
-    res = run_qlin_revenue(cfg)
-
-    print(f"rev_star = {res.rev_star:.10f}")
-    print(f"{'t':>6}  {'mean_abs_err':>12}  {'stderr':>10}")
-    for e in res.summary:
-        print(f"{e['t']:>6}  {e['mean_abs_err']:>12.2e}  {e['stderr_abs_err']:>10.2e}")
-    if res.rate is not None:
-        print(f"revenue error rate: t^{res.rate.slope:.3f} (r2 = {res.rate.r2:.3f})")
-    print(f"max complementarity slack across solves: {res.max_comp_slack:.2e}")
-    if args.out:
-        print(f"rows written to {os.path.join(args.out, 'qlin.csv')}")
+    print(summary_table(run_qlin_revenue(cfg)))
 
 
 if __name__ == "__main__":

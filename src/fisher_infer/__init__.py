@@ -27,6 +27,7 @@ from .statkit import (KSResult, RateFit, fit_rate, ks_normal_test, normal_cdf,
                       normal_quantile, qq_points, summarize_reps)
 from .experiments import (ExperimentConfig, derive_seed, load_config,
                           run_clt_experiment, run_convergence_sweep,
-                          run_coverage_experiment, run_experiment, run_qlin_revenue)
+                          run_coverage_experiment, run_experiment, run_qlin_revenue,
+                          summary_table)
 
 __version__ = "0.1.0"

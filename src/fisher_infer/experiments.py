@@ -10,7 +10,8 @@ its CSV into config.out_dir, or no file when that is None.
 
 Each run_* result holds its replications as one numpy record array,
 `rows`, with the fields of _row_dtype: a column per field
-(rows.nsw_hat) and a record per replication (rows[0].status).
+(rows.nsw_hat) and a record per replication (rows[0].status);
+summary_table renders any result as text.
 
 CSV column sets are fixed:
   convergence: t,rep,seed,nsw_hat,nsw_star,abs_err
@@ -26,15 +27,15 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .finite import solve_sample_eg, solve_sample_qeg
 from .inference import _require_unit_budgets, ci_nsw, estimate_sigma2_nsw
 from .longrun import LongRunEquilibrium, sigma2_nsw, solve_longrun_eg, solve_longrun_qeg
-from .markets import (Linear1DValuation, LongRunSpec, sample_items, spec_from_dict,
-                      spec_to_dict)
+from .markets import (Linear1DValuation, LongRunSpec, load_spec, sample_items,
+                      spec_from_dict, spec_to_dict)
 from .statkit import KSResult, RateFit, fit_rate, ks_normal_test, qq_points, summarize_reps
 
 MODES = ("convergence", "clt", "coverage", "revenue_qlin")
@@ -58,6 +59,8 @@ class ExperimentConfig:
         if len(grid) == 0 or any(a >= b for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nonempty and strictly ascending")
         object.__setattr__(self, "t_grid", grid)
+        for name, kind in (("k", int), ("base_seed", int), ("alpha", float), ("tol", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -65,29 +68,24 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
-    """The config that data describes; a key that is not an
-    ExperimentConfig field or "spec_path" raises ValueError."""
-    unknown = sorted(set(data) - {"spec_path"} - {f.name for f in fields(ExperimentConfig)})
+    """The config that data describes, its spec given inline as "spec" or
+    as a spec file "spec_path" relative to base_dir.  A key that is not
+    an ExperimentConfig field or "spec_path", or a missing field without
+    a default, raises ValueError."""
+    data = dict(data)
+    path = data.pop("spec_path", None)
+    known = fields(ExperimentConfig)
+    unknown = sorted(set(data) - {f.name for f in known})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
-    if "spec_path" in data:
-        path = data["spec_path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path) as fh:
-            spec = spec_from_dict(json.load(fh))
-    else:
-        spec = spec_from_dict(data["spec"])
-    return ExperimentConfig(
-        spec=spec,
-        mode=data["mode"],
-        t_grid=tuple(data["t_grid"]),
-        k=int(data["k"]),
-        base_seed=int(data.get("base_seed", 0)),
-        alpha=float(data.get("alpha", 0.05)),
-        tol=float(data.get("tol", 1e-9)),
-        out_dir=data.get("out_dir"),
-    )
+    if path is not None:
+        data["spec"] = load_spec(os.path.join(base_dir, path))
+    elif "spec" in data:
+        data["spec"] = spec_from_dict(data["spec"])
+    missing = [f.name for f in known if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"missing config keys {missing}")
+    return ExperimentConfig(**data)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -215,6 +213,22 @@ def _longrun_reference(config: ExperimentConfig, mode: str) -> LongRunEquilibriu
     return (solve_longrun_qeg if mode == "revenue_qlin" else solve_longrun_eg)(config.spec)
 
 
+def _per_t(config: ExperimentConfig, rows, **columns) -> list[dict]:
+    """Per t: its n_ok and n_failed rows, and for each column (one value
+    per row) mean_<name> and stderr_<name> over its certified rows."""
+    summary = []
+    ok = rows.status == "ok"
+    for t in config.t_grid:
+        at_t = rows.t == t
+        good = ok & at_t
+        entry = {"t": t, "n_ok": int(good.sum()), "n_failed": int((at_t & ~ok).sum())}
+        for name, values in columns.items():
+            entry[f"mean_{name}"], entry[f"stderr_{name}"] = (
+                summarize_reps(values[good]) if good.any() else (float("nan"), float("nan")))
+        summary.append(entry)
+    return summary
+
+
 def _rate(summary: list[dict], key: str) -> RateFit | None:
     """The log-log rate of summary's key over t, fit to the entries where
     it is positive (a NaN mean is not); None with fewer than two."""
@@ -247,32 +261,19 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceResult:
     """
     star = _longrun_reference(config, "convergence")
     _require_unit_budgets(config.spec.budgets)
-    nsw_star = star.nsw_star if star is not None else None
-    beta_star = tuple(star.beta_star) if star is not None else None
     rows = _run_jobs(config, config.t_grid)
-    ref = nsw_star if nsw_star is not None else float("nan")
+    ref, beta_ref = (star.nsw_star, star.beta_star) if star is not None else (np.nan, np.nan)
     err = np.abs(rows.nsw_hat - ref)
     _write_csv(config, "convergence.csv", ["t", "rep", "seed", "nsw_hat", "nsw_star", "abs_err"],
                zip(rows.t, rows.rep, rows.seed, rows.nsw_hat, np.full(len(rows), ref), err))
 
-    summary = []
-    ok = rows.status == "ok"
-    for t in config.t_grid:
-        at_t = rows.t == t
-        good = ok & at_t
-        entry = {"t": t, "n_ok": int(good.sum()), "n_failed": int((at_t & ~ok).sum()),
-                 "mean_nsw": float("nan"), "stderr_nsw": float("nan"),
-                 "mean_abs_err": float("nan"), "mean_beta_err": float("nan")}
-        if good.any():
-            entry["mean_nsw"], entry["stderr_nsw"] = summarize_reps(rows.nsw_hat[good])
-            if star is not None:
-                entry["mean_abs_err"], _ = summarize_reps(err[good])
-                entry["mean_beta_err"], _ = summarize_reps(
-                    [np.linalg.norm(beta - star.beta_star) for beta in rows.beta_hat[good]])
-        summary.append(entry)
-    return ConvergenceResult(rows=rows, summary=summary, nsw_star=nsw_star,
-                             beta_star=beta_star, nsw_rate=_rate(summary, "mean_abs_err"),
-                             beta_rate=_rate(summary, "mean_beta_err"))
+    # one norm per row: a vectorized norm sums in another order
+    beta_err = np.array([np.linalg.norm(beta - beta_ref) for beta in rows.beta_hat])
+    summary = _per_t(config, rows, nsw=rows.nsw_hat, abs_err=err, beta_err=beta_err)
+    return ConvergenceResult(
+        rows=rows, summary=summary, nsw_star=None if star is None else star.nsw_star,
+        beta_star=None if star is None else tuple(star.beta_star),
+        nsw_rate=_rate(summary, "mean_abs_err"), beta_rate=_rate(summary, "mean_beta_err"))
 
 
 @dataclass(frozen=True)
@@ -356,17 +357,8 @@ def run_qlin_revenue(config: ExperimentConfig) -> QlinRevenueResult:
     _write_csv(config, "qlin.csv", ["t", "rep", "seed", "rev_hat", "rev_star", "abs_err"],
                zip(rows.t, rows.rep, rows.seed, rows.rev_hat, np.full(len(rows), star.rev), err))
 
-    summary = []
-    ok = rows.status == "ok"
-    for t in config.t_grid:
-        at_t = rows.t == t
-        good = ok & at_t
-        entry = {"t": t, "n_ok": int(good.sum()), "n_failed": int((at_t & ~ok).sum()),
-                 "mean_abs_err": float("nan"), "stderr_abs_err": float("nan")}
-        if good.any():
-            entry["mean_abs_err"], entry["stderr_abs_err"] = summarize_reps(err[good])
-        summary.append(entry)
-    slacks = rows.comp_slack[ok]
+    summary = _per_t(config, rows, abs_err=err)
+    slacks = rows.comp_slack[rows.status == "ok"]
     worst = float(slacks.max()) if slacks.size else float("nan")
     return QlinRevenueResult(rows=rows, summary=summary, rev_star=star.rev,
                              rate=_rate(summary, "mean_abs_err"),
@@ -378,6 +370,46 @@ def run_experiment(config: ExperimentConfig):
     run = {"convergence": run_convergence_sweep, "clt": run_clt_experiment,
            "coverage": run_coverage_experiment, "revenue_qlin": run_qlin_revenue}
     return run[config.mode](config)
+
+
+def summary_table(result) -> str:
+    """Plain-text rendering of a run_* result, used by the command line
+    and the scripts: the certified and failed replication counts, then
+    the mode's reference, per-t table and rate fits, KS test or coverage."""
+    ok = int((result.rows.status == "ok").sum())
+    lines = [f"replications: certified={ok} failed={len(result.rows) - ok}"]
+    if isinstance(result, CltResult):
+        s, ks = result.samples, result.ks
+        lines.append(f"sigma2_nsw = {result.sigma2:.10f}, k = {len(s)} samples "
+                     f"of sqrt(t) (nsw_hat - nsw_star) at t = {result.rows.t[-1]}")
+        if ks is not None:
+            slope = float(np.polyfit(result.qq[:, 0], result.qq[:, 1], 1)[0])
+            lines += [f"sample mean = {s.mean():.5f}, sample var = {s.var(ddof=1):.5f}",
+                      f"KS: D = {ks.d_stat:.4f}, p = {ks.p_value:.4f} (n = {ks.n})",
+                      f"Q-Q slope vs N(0, sigma2_nsw) = {slope:.4f} (1 if exactly normal)"]
+        else:
+            why = "sigma2_nsw = 0" if result.degenerate else "fewer than two certified samples"
+            lines.append(f"no test run: {why}")
+    elif isinstance(result, CoverageResult):
+        lines += [f"nsw_star = {result.nsw_star:.10f}",
+                  f"coverage = {result.coverage:.4f} +- {result.stderr:.4f} "
+                  f"over {len(result.covered)} certified intervals"]
+    else:
+        qlin = isinstance(result, QlinRevenueResult)
+        star = result.rev_star if qlin else result.nsw_star
+        lines.append("no exact long-run reference: errors are NaN" if star is None
+                     else f"{'rev' if qlin else 'nsw'}_star = {star:.10f}")
+        widths = {key: max(len(key), 10) for key in result.summary[0]}
+        lines.append(" ".join(f"{key:>{w}}" for key, w in widths.items()))
+        for e in result.summary:
+            lines.append(" ".join(f"{e[key]:>{w}.6g}" for key, w in widths.items()))
+        fits = ({"revenue": result.rate} if qlin
+                else {"nsw": result.nsw_rate, "beta": result.beta_rate})
+        lines += [f"{name} error rate: t^{fit.slope:.3f} (r2 = {fit.r2:.3f})"
+                  for name, fit in fits.items() if fit is not None]
+        if qlin:
+            lines.append(f"max |delta (1 - beta)| = {result.max_comp_slack:.3e}")
+    return "\n".join(lines)
 
 
 __all__ = [
@@ -395,4 +427,5 @@ __all__ = [
     "QlinRevenueResult",
     "run_qlin_revenue",
     "run_experiment",
+    "summary_table",
 ]

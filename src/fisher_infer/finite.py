@@ -146,8 +146,6 @@ def _candidate_rtols(bids, top):
     vals = np.unique(rel[(rel > 1e-15) & (rel < 0.05)])
     if len(vals) == 0:
         return [1e-9]
-    if len(vals) == 1:
-        return [float(vals[0]) * 0.5, float(vals[0]) * 2.0]
     logs = np.log(vals)
     order = np.argsort(-np.diff(logs))[:POLISH_GAPS]
     cands = [float(np.exp(0.5 * (logs[g] + logs[g + 1]))) for g in order]
@@ -784,7 +782,7 @@ def _subgradient_start(market, cap):
 
 
 def _best_effort(V, b, beta, cap):
-    """(beta, u, X, delta, gap) of a point no route certified, its X
+    """(beta, u, X, delta, gap, p) of a point no route certified, its X
     splitting near-tied items evenly; the solve returns it flagged with
     certificate.certified = False."""
     t = V.shape[1]
@@ -796,7 +794,7 @@ def _best_effort(V, b, beta, cap):
     delta = None if np.isinf(cap) else np.maximum(b - beta * u, 0.0)
     money = u if delta is None else u + delta
     gap = _gap(V, b, beta, u, delta) if np.all(money > 0) else float("inf")
-    return beta, u, X, delta, float(gap)
+    return beta, u, X, delta, float(gap), top
 
 
 def _solve(market: FiniteMarket, tol: float, method: str, cap: float) -> FiniteEquilibrium:
@@ -820,9 +818,7 @@ def _solve(market: FiniteMarket, tol: float, method: str, cap: float) -> FiniteE
         res, beta = _newton_tail(V, b, beta0, tol, cap)
         if res is None:
             res = _best_effort(V, b, beta, cap)
-    beta, u, X, delta, gap, *prices = res
-    # a pattern solve's result carries its prices
-    p = prices[0] if prices else (beta[:, None] * V).max(axis=0)
+    beta, u, X, delta, gap, p = res
     money = u if delta is None else u + delta
     nsw = float((b * np.log(money)).sum()) if np.all(money > 0) else float("-inf")
     cert = Certificate(duality_gap=gap, certified=bool(gap <= tol), method=method,

@@ -222,7 +222,7 @@ _RANDOM_SPEC_MAX_N = 220
 _SLOPE_CHUNK = 1024
 
 
-def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongRunSpec:
+def random_linear1d_spec(n: int, seed: int) -> LongRunSpec:
     """Random normalized 1-D linear-valuation spec for experiments.
 
     Slopes are drawn uniform on (-1.8, 1.8) and sorted ascending with a
@@ -255,7 +255,7 @@ def random_linear1d_spec(n: int, seed: int, budget_spread: float = 0.5) -> LongR
         gen.bit_generator.state = state
         gen.uniform(size=(ok[0] + 1) * n)
     d = 1.0 - c / 2.0
-    b = gen.uniform(1.0 - budget_spread, 1.0 + budget_spread, size=n)
+    b = gen.uniform(0.5, 1.5, size=n)
     b = b / b.sum()
     return LongRunSpec(budgets=b, valuation=Linear1DValuation(c=c, d=d),
                        supply=Uniform01Supply())
@@ -321,24 +321,28 @@ def spec_to_dict(spec: LongRunSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> LongRunSpec:
-    vd = data["valuation"]
-    if vd["kind"] == "linear1d":
-        val: Valuation = Linear1DValuation(c=np.array(vd["c"]), d=np.array(vd["d"]))
-    elif vd["kind"] == "linear_md":
-        val = LinearMDValuation(a=np.array(vd["a"]), c=np.array(vd["c"]))
-    else:
-        raise ValueError(f"unknown valuation kind {vd['kind']!r}")
-    sd = data.get("supply", {"kind": "uniform01"})
-    if sd["kind"] == "uniform01":
-        sup: Supply = Uniform01Supply()
-    elif sd["kind"] == "uniform_cube":
-        sup = UniformCubeSupply(dim=int(sd["dim"]))
-    else:
-        raise ValueError(f"unknown supply kind {sd['kind']!r}")
-    spec = LongRunSpec(budgets=np.array(data["budgets"]), valuation=val, supply=sup)
-    if "n" in data and int(data["n"]) != spec.n:
-        raise ValueError("declared n does not match budgets length")
-    return spec
+    """The spec that data describes; a missing key raises ValueError naming it."""
+    try:
+        vd = data["valuation"]
+        if vd["kind"] == "linear1d":
+            val: Valuation = Linear1DValuation(c=np.array(vd["c"]), d=np.array(vd["d"]))
+        elif vd["kind"] == "linear_md":
+            val = LinearMDValuation(a=np.array(vd["a"]), c=np.array(vd["c"]))
+        else:
+            raise ValueError(f"unknown valuation kind {vd['kind']!r}")
+        sd = data.get("supply", {"kind": "uniform01"})
+        if sd["kind"] == "uniform01":
+            sup: Supply = Uniform01Supply()
+        elif sd["kind"] == "uniform_cube":
+            sup = UniformCubeSupply(dim=int(sd["dim"]))
+        else:
+            raise ValueError(f"unknown supply kind {sd['kind']!r}")
+        spec = LongRunSpec(budgets=np.array(data["budgets"]), valuation=val, supply=sup)
+        if "n" in data and int(data["n"]) != spec.n:
+            raise ValueError("declared n does not match budgets length")
+        return spec
+    except KeyError as exc:
+        raise ValueError(f"market spec has no {exc.args[0]!r} entry") from None
 
 
 def save_spec(spec: LongRunSpec, path: str) -> None:

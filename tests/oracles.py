@@ -141,7 +141,7 @@ def descent_longrun(spec, cap, beta0, tol=1e-10, max_iter=500):
     return beta, float(_projected_residual(beta, g, cap).max())
 
 
-def random_linear1d_draw(n, seed, budget_spread=0.5):
+def random_linear1d_draw(n, seed):
     """(c, b) of markets.random_linear1d_spec drawn row by row: redraw all n
     slopes until their sorted gaps exceed 1e-3, then draw the budgets."""
     gen = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED))
@@ -149,7 +149,7 @@ def random_linear1d_draw(n, seed, budget_spread=0.5):
         c = np.sort(gen.uniform(-1.8, 1.8, size=n))
         if n == 1 or np.diff(c).min() > 1e-3:
             break
-    b = gen.uniform(1.0 - budget_spread, 1.0 + budget_spread, size=n)
+    b = gen.uniform(0.5, 1.5, size=n)
     return c, b / b.sum()
 
 

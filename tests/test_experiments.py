@@ -485,6 +485,24 @@ def test_cli_solve_unnormalized_budgets_exits_nonzero(tmp_path, symmetric_spec, 
     assert "beta_hat" not in captured.out
 
 
+@pytest.mark.parametrize("args", [["--t", "1"], ["--alpha", "2"]])
+def test_cli_solve_report_error_prints_no_certificate(cli_files, capsys, args):
+    _, spec_path, _ = cli_files
+    rc = cli_main(["solve", "--spec", str(spec_path), "--t", "100", "--seed", "7", *args])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "certified equilibrium" not in captured.out
+
+
+def test_cli_solve_spec_without_valuation_is_an_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"budgets": [0.5, 0.5]}))
+    rc = cli_main(["solve", "--spec", str(spec_path), "--t", "100", "--seed", "7"])
+    assert rc == 1
+    assert "'valuation'" in capsys.readouterr().err
+
+
 def test_cli_solve_quasilinear(cli_files, capsys):
     _, spec_path, _ = cli_files
     rc = cli_main(["solve", "--spec", str(spec_path), "--t", "80",
@@ -538,6 +556,34 @@ def test_unknown_config_key_is_an_error(cli_files, capsys, key):
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["clt", "coverage"])
+@pytest.mark.parametrize("k,tol", [(1, 1e-9), (3, -math.inf)])
+def test_cli_single_t_modes_print_failures(cli_files, capsys, mode, k, tol):
+    # one certified sample, or none, is too few for a KS test; the run
+    # still exits 0 and says how many replications failed
+    tmp_path, spec_path, _ = cli_files
+    cfg = {"spec_path": str(spec_path), "mode": mode, "t_grid": [100], "k": k,
+           "base_seed": 2, "tol": tol}
+    cfg_path = tmp_path / f"{mode}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main([mode, "--config", str(cfg_path)]) == 0
+    failed = k if tol < 0 else 0
+    assert f"certified={k - failed} failed={failed}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["k", "mode", "t_grid", "spec"])
+def test_missing_config_key_is_an_error(cli_files, capsys, key):
+    tmp_path, _, cfg_path = cli_files
+    data = json.loads(cfg_path.read_text())
+    del data["spec_path" if key == "spec" else key]
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(data, base_dir=str(tmp_path))
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
 
 
 @pytest.mark.parametrize("command,run,mode", [

@@ -271,8 +271,8 @@ def test_random_spec_chunked_draw_matches_row_by_row_draw(n):
     # the chunked draw replays the stream up to the first separated row,
     # so slopes and budgets are those of the row-by-row loop
     for seed in range(3):
-        spec = random_linear1d_spec(n, seed, budget_spread=0.3)
-        c, b = oracles.random_linear1d_draw(n, seed, budget_spread=0.3)
+        spec = random_linear1d_spec(n, seed)
+        c, b = oracles.random_linear1d_draw(n, seed)
         assert np.array_equal(spec.valuation.c, c)
         assert np.array_equal(spec.valuation.d, 1.0 - c / 2.0)
         assert np.array_equal(spec.budgets, b)
@@ -331,6 +331,16 @@ def test_spec_file_round_trip(tmp_path, symmetric_spec):
 def test_spec_from_dict_rejects_unknown_kinds():
     with pytest.raises(ValueError):
         spec_from_dict({"budgets": [1.0], "valuation": {"kind": "mystery"}})
+
+
+@pytest.mark.parametrize("path", [("budgets",), ("valuation",), ("valuation", "d")])
+def test_spec_from_dict_names_a_missing_key(symmetric_spec, path):
+    # a KeyError traceback would leave the CLI user to guess the key
+    data = spec_to_dict(symmetric_spec)
+    *outer, key = path
+    del (data[outer[0]] if outer else data)[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        spec_from_dict(data)
 
 
 def test_every_module_all_resolves():

@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts: each runs four replications at
-tiny t in a subprocess, exits 0 and writes its documented CSV header."""
+tiny t in a subprocess, exits 0, prints its failed count and writes its
+documented CSV header."""
 
 import os
 import subprocess
@@ -29,6 +30,7 @@ def test_script_writes_its_csv(tmp_path, script, args, csv, header):
                            "--out", str(out)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "failed=0" in proc.stdout
     lines = (out / csv).read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + 4  # one row per replication
