@@ -35,7 +35,8 @@ from run_convergence import random_md_spec
 
 def copy_items(market: FiniteMarket, seed: int) -> FiniteMarket:
     # t items drawn from the market's t with repeats: copied items have
-    # equal columns, so equal sort keys and blocks of several items
+    # equal columns, so equal sort keys, and the Newton route solves them
+    # by its smoothed tail
     idx = np.random.default_rng(seed).integers(0, market.t, size=market.t)
     return FiniteMarket(V=market.V[:, idx], budgets=market.budgets)
 

@@ -32,9 +32,10 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .finite import solve_sample_eg, solve_sample_qeg
-from .inference import _require_unit_budgets, ci_nsw, estimate_sigma2_nsw
-from .longrun import LongRunEquilibrium, sigma2_nsw, solve_longrun_eg, solve_longrun_qeg
-from .markets import (Linear1DValuation, LongRunSpec, load_spec, sample_items,
+from .inference import ci_nsw, estimate_sigma2_nsw
+from .longrun import (LongRunEquilibrium, _require_unit_budgets, sigma2_nsw, solve_longrun_eg,
+                      solve_longrun_qeg)
+from .markets import (Linear1DValuation, LongRunSpec, _typed, load_spec, sample_items,
                       spec_from_dict, spec_to_dict)
 from .statkit import KSResult, RateFit, fit_rate, ks_normal_test, qq_points, summarize_reps
 
@@ -70,18 +71,20 @@ class ExperimentConfig:
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """The config that data describes, its spec given inline as "spec" or
     as a spec file "spec_path" relative to base_dir.  A key that is not
-    an ExperimentConfig field or "spec_path", or a missing field without
-    a default, raises ValueError."""
+    an ExperimentConfig field or "spec_path", a missing field without a
+    default, or a t_grid or spec of the wrong type raises ValueError."""
     data = dict(data)
     path = data.pop("spec_path", None)
     known = fields(ExperimentConfig)
     unknown = sorted(set(data) - {f.name for f in known})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
+    if "t_grid" in data:
+        _typed("t_grid", data["t_grid"], list, tuple)
     if path is not None:
         data["spec"] = load_spec(os.path.join(base_dir, path))
     elif "spec" in data:
-        data["spec"] = spec_from_dict(data["spec"])
+        data["spec"] = spec_from_dict(_typed("spec", data["spec"], dict))
     missing = [f.name for f in known if f.default is MISSING and f.name not in data]
     if missing:
         raise ValueError(f"missing config keys {missing}")

@@ -397,58 +397,41 @@ def _ordered_pattern(V, b, tol):
     """Exact equilibrium of a linear market whose winners are intervals of
     sorted items, or None.
 
-    Items are sorted by log V[n-1] - log V[0], by numpy's default sort;
-    only when two keys are equal is the sort redone stably, so that equal
-    keys keep their item order.  If V is positive and every adjacent log
-    ratio r_i = log V[i+1] - log V[i] is nondecreasing along that order
+    Items are sorted by log V[n-1] - log V[0]; two equal keys (copied
+    items) give None.  If V is positive and every adjacent log ratio
+    r_i = log V[i+1] - log V[i] is nondecreasing along that order
     (log-supermodular V, as 1-D linear values with slopes increasing in
     the buyer index give), then at every beta each buyer wins one interval
-    of items, in buyer order.  Items with equal columns form one block;
-    equal columns have equal keys, so with distinct keys every block is
-    one item.  Each neighbour pair i, i+1 either ties on one block k
-    (q_i = 2k + 1) or breaks in front of it (q_i = 2k).  _interval_start
-    reads q off a relaxed problem, _interval_search moves it to the exact
-    pattern, and _pattern_solve, the same solve the polish uses, computes
-    and certifies that pattern, then again with the bids within
-    TIE_LOG_TOL of their item's top tied, if there are more of those.
+    of items, in buyer order.  Each neighbour pair i, i+1 either ties on
+    one item k (q_i = 2k + 1) or breaks in front of it (q_i = 2k).
+    _interval_start reads q off a relaxed problem, _interval_search moves
+    it to the exact pattern, and _pattern_solve, the same solve the polish
+    uses, computes and certifies that pattern, then again with the bids
+    within TIE_LOG_TOL of their item's top tied, if there are more.
     """
     n, t = V.shape
     if n < 2 or not np.all(V > 0):
         return None
     key = np.log(V[-1]) - np.log(V[0])
     order = np.argsort(key)
-    ks = key[order]
-    distinct = not (ks[1:] == ks[:-1]).any()
-    if not distinct:
-        order = np.argsort(key, kind="stable")
+    if (np.diff(key[order]) == 0).any():
+        return None
     Vs = np.take(V, order, axis=1)  # several times faster than V[:, order] at small n
     logVs = np.log(Vs)
     R = logVs[1:] - logVs[:-1]
     if (R[:, 1:] < R[:, :-1]).any():
         return None
-    if distinct:
-        S, m, Vb, Rb = np.arange(t), np.ones(t, dtype=int), Vs, R
-        P = np.zeros((n, t + 1))
-        np.cumsum(Vs, axis=1, out=P[:, 1:])
-    else:
-        first = np.ones(t, dtype=bool)
-        first[1:] = (Vs[:, 1:] != Vs[:, :-1]).any(axis=0)
-        S = np.flatnonzero(first)  # first sorted item of each block
-        m = np.diff(np.append(S, t))  # items per block
-        Vb, Rb = Vs[:, S], R[:, S]
-        # P[i, k]: buyer i's value of the blocks before block k, in items
-        P = np.zeros((n, len(S) + 1))
-        np.cumsum(Vb * m, axis=1, out=P[:, 1:])
-    q = _interval_start(Vb, Rb, S, m, P, b)
-    q = None if q is None else _interval_search(Vb, Rb, m, P, b, q)
+    P = np.zeros((n, t + 1))  # P[i, k]: buyer i's value of the items before item k
+    np.cumsum(Vs, axis=1, out=P[:, 1:])
+    q = _interval_start(Vs, R, P, b)
+    q = None if q is None else _interval_search(Vs, R, P, b, q)
     if q is None:
         return None
-    # buyer i wins the sorted items from edge[q_{i-1} // 2] to edge[(q_i + 1) // 2]
-    q = np.concatenate(([0], q, [2 * len(S)]))
-    edge = np.append(S, t)
+    # buyer i wins the sorted items from q_{i-1} // 2 to (q_i + 1) // 2
+    q = np.concatenate(([0], q, [2 * t]))
     rank = np.empty(t, dtype=int)  # each item's sorted position
     rank[order] = np.arange(t)
-    winmask = (rank >= edge[q[:-1] // 2, None]) & (rank < edge[(q[1:] + 1) // 2, None])
+    winmask = (rank >= (q[:-1] // 2)[:, None]) & (rank < ((q[1:] + 1) // 2)[:, None])
     res = _pattern_solve(V, b, winmask, tol, np.inf)
     if res is None:
         return None
@@ -461,29 +444,27 @@ def _ordered_pattern(V, b, tol):
     return _pattern_solve(V, b, near, tol, np.inf) or res
 
 
-def _interval_start(Vb, Rb, S, m, P, b):
+def _interval_start(Vs, R, P, b):
     """The q of the relaxed ordered problem, or None.
 
     Buyer i takes the sorted items between positions a_{i-1} < a_i in
     [0, t] (a_0 = 0, a_n = t), fractions of the end items included, so
     t u_i = U_i(a_i) - U_i(a_{i-1}) with U_i the prefix sums P
     interpolated linearly.  Neighbours tie where log beta_i - log
-    beta_{i+1} = r_i(a_i), with r_i interpolated linearly between block
+    beta_{i+1} = r_i(a_i), with r_i interpolated linearly between item
     midpoints so that the conditions F_i are continuous.  F_i involves
     a_{i-1}, a_i and a_{i+1} only: damped Newton on a tridiagonal
     system from a_i = i t / n, by the loop longrun._pinned_partition
     uses, until a step would move no a_i by INTERVAL_SETTLE items, which
-    settles the block that holds each.  Each a_i then becomes a tie on
-    its block, and _interval_search does the rest.
+    settles the item that holds each.  Each a_i then becomes a tie on
+    its item, and _interval_search does the rest.
     """
-    n, nb = Vb.shape
-    t = int(S[-1] + m[-1])
-    S = S.astype(float)  # else searchsorted converts it on every call
+    n, t = Vs.shape
     # the midpoints padded by one point on either side of [0, t], where r
-    # takes its end values (col: the block of each point): every a_i lies
+    # takes its end values (col: the item of each point): every a_i lies
     # strictly inside a segment, and r is flat outside the midpoints
-    mid = np.concatenate(([-1.0], S + 0.5 * m, [t + 1.0]))
-    col = np.concatenate(([0], np.arange(nb), [nb - 1]))
+    mid = np.concatenate(([-1.0], np.arange(t) + 0.5, [t + 1.0]))
+    col = np.concatenate(([0], np.arange(t), [t - 1]))
     rows = np.arange(n - 1)
     pair = rows + np.array([[0], [1]])  # buyers i and i + 1 meet at a_i
     ends = np.array([[1], [0]])  # a segment's two ends, from its upper one
@@ -491,12 +472,12 @@ def _interval_start(Vb, Rb, S, m, P, b):
     U_hi[-1], U_lo[0] = P[-1, -1], 0.0
 
     def state(a):
-        k = S.searchsorted(a, "right") - 1  # the block that holds a_i
-        v = Vb[pair, k]
-        U_hi[:-1], U_lo[1:] = P[pair, k] + (a - S[k]) * v
+        k = a.astype(int)  # the item that holds a_i, as a lies in (0, t)
+        v = Vs[pair, k]
+        U_hi[:-1], U_lo[1:] = P[pair, k] + (a - k) * v
         w = U_hi - U_lo
         h = mid.searchsorted(a) - ends
-        r, x = Rb[rows, col[h]], mid[h]
+        r, x = R[rows, col[h]], mid[h]
         slope = (r[1] - r[0]) / (x[1] - x[0])
         z = np.log(b / w)  # log beta up to a common constant
         return z[:-1] - z[1:] - (r[0] + slope * (a - x[0])), w, v, slope
@@ -510,32 +491,31 @@ def _interval_start(Vb, Rb, S, m, P, b):
                            settle=INTERVAL_SETTLE)
     if a is None:
         return None
-    return 2 * (S.searchsorted(a, "right") - 1) + 1
+    return 2 * a.astype(int) + 1
 
 
-def _interval_search(Vb, Rb, m, P, b, q):
+def _interval_search(Vs, R, P, b, q):
     """Move the pattern q until it is consistent, or None if a move would
     leave a buyer without items, the moves cycle or they run past their
     budget.
 
     From q, beta follows in closed form (_pattern_multipliers): ties
-    chain the log-multipliers of a component of tied neighbours (Rb holds
-    the adjacent log ratios of the blocks), and one scale per component
+    chain the log-multipliers of a component of tied neighbours (R holds
+    the adjacent log ratios of the items), and one scale per component
     spends its budgets.  A left-to-right sweep then hands each buyer its
     items: buyer i needs t b_i / beta_i, and on a tie the share of the
-    block left to buyers <= i must lie in [0, m_k], or the tie moves
-    down (below 0) or up.  A break must leave each side its higher bid,
-    or it moves to a tie on the block that side loses.  Each sweep moves
-    the first pair that is off (the far end of its run of equal q, in
-    the direction of the move); a component's scale couples all its
-    pairs, and moving them all at once can cycle.
+    item left to buyers <= i must lie in [0, 1], or the tie moves down
+    (below 0) or up.  A break must leave each side its higher bid, or it
+    moves to a tie on the item that side loses.  Each sweep moves the
+    first pair that is off (the far end of its run of equal q, in the
+    direction of the move); a component's scale couples all its pairs,
+    and moving them all at once can cycle.
     """
-    n, nb = Vb.shape
-    t = int(m.sum())
+    n, t = Vs.shape
     rows, buyers, budget = np.arange(n - 1), np.arange(n), b.tolist()
-    # q between two fixed ends, so that buyer i's strict blocks run from
-    # (q_{i-1} + 1) // 2 up to q_i // 2: q_{-1} = -1, q_{n-1} = 2 nb
-    qe = np.concatenate(([-1], q, [2 * nb]))
+    # q between two fixed ends, so that buyer i's strict items run from
+    # (q_{i-1} + 1) // 2 up to q_i // 2: q_{-1} = -1, q_{n-1} = 2 t
+    qe = np.concatenate(([-1], q, [2 * t]))
     q = qe[1:-1]
     seen = set()
     for _ in range(4 * n + 20):
@@ -543,15 +523,14 @@ def _interval_search(Vb, Rb, m, P, b, q):
         if tuple(ql) in seen:
             return None
         seen.add(tuple(ql))
-        k = q // 2  # the tied block, or the block after the break
+        k = q // 2  # the tied item, or the item after the break
         lo = (qe[:-1] + 1) // 2
         W = (P[buyers, np.maximum(qe[1:] // 2, lo)] - P[buyers, lo]).tolist()  # strict items
-        found = _pattern_multipliers(ql, W, Rb[rows, k].tolist(), Vb[rows, k].tolist(),
-                                     m[k].tolist(), budget, t)
+        found = _pattern_multipliers(ql, W, R[rows, k].tolist(), Vs[rows, k].tolist(), budget, t)
         if found is None:
             return None
         bl, need = found
-        left = 0.0  # share of pair i-1's tied block left to buyers <= i-1
+        left = 0.0  # share of pair i-1's tied item left to buyers <= i-1
         for i in range(n - 1):
             qi = ql[i]
             ki = qi // 2
@@ -559,23 +538,22 @@ def _interval_search(Vb, Rb, m, P, b, q):
                 rem = need[i] - W[i]
                 if i and ql[i - 1] % 2:
                     if ql[i - 1] == qi:
-                        rem += Vb[i, ki] * left
+                        rem += Vs[i, ki] * left
                     else:
-                        kp = ql[i - 1] // 2
-                        rem -= Vb[i, kp] * (m[kp] - left)
-                left = rem / Vb[i, ki]
-                step = -1 if left < 0 else int(left > m[ki])
-            elif bl[i] * Vb[i, ki - 1] < bl[i + 1] * Vb[i + 1, ki - 1]:  # 1 <= ki < nb
+                        rem -= Vs[i, ql[i - 1] // 2] * (1 - left)
+                left = rem / Vs[i, ki]
+                step = -1 if left < 0 else int(left > 1)
+            elif bl[i] * Vs[i, ki - 1] < bl[i + 1] * Vs[i + 1, ki - 1]:  # 1 <= ki < t
                 step = -1
             else:
-                step = int(bl[i + 1] * Vb[i + 1, ki] < bl[i] * Vb[i, ki])
+                step = int(bl[i + 1] * Vs[i + 1, ki] < bl[i] * Vs[i, ki])
             if step:
                 # a run of pairs with equal q blocks the move: its far end moves
                 while 0 <= i + step <= n - 2 and ql[i + step] == qi:
                     i += step
                 new = qi + step
                 lo_q = ql[i - 1] if i else 1
-                hi_q = ql[i + 1] if i < n - 2 else 2 * nb - 1
+                hi_q = ql[i + 1] if i < n - 2 else 2 * t - 1
                 # a buyer between two equal q only has items if they tie
                 if not (lo_q <= new <= hi_q and (new % 2 or lo_q < new < hi_q)):
                     return None
@@ -586,20 +564,19 @@ def _interval_search(Vb, Rb, m, P, b, q):
     return None
 
 
-def _pattern_multipliers(q, W, r, v, mk, b, t):
+def _pattern_multipliers(q, W, r, v, b, t):
     """(beta, t b / beta) of the ordered pattern q, as lists, or None if
     a multiplier underflows to zero.
 
-    W[i] is buyer i's value of its strict blocks (in items); r[i], v[i]
-    and mk[i] are pair i's log ratio Rb, buyer i's value Vb and the
-    item count m at block q_i // 2.  Ties chain the log-multipliers of a
-    component of tied neighbours, log beta_{i+1} = log beta_i - r_i, and
-    one scale per component spends its budgets on its strict blocks and
-    on each tied block once (also when three or more buyers share it).
-    Lists, because at small n a numpy call costs more than its
-    arithmetic; each float operation is numpy's, in numpy's order (cumsum
-    and bincount add left to right), so beta has the bits of the array
-    form in tests/oracles.py.
+    W[i] is buyer i's value of its strict items; r[i] and v[i] are pair
+    i's log ratio R and buyer i's value Vs at item q_i // 2.  Ties chain
+    the log-multipliers of a component of tied neighbours, log
+    beta_{i+1} = log beta_i - r_i, and one scale per component spends its
+    budgets on its strict items and on each tied item once (also when
+    three or more buyers share it).  Lists, because at small n a numpy
+    call costs more than its arithmetic; each float operation is numpy's,
+    in numpy's order (cumsum and bincount add left to right), so beta has
+    the bits of the array form in tests/oracles.py.
     """
     n = len(b)
     # comp numbers the components; off is each buyer's log-multiplier
@@ -612,14 +589,14 @@ def _pattern_multipliers(q, W, r, v, mk, b, t):
         comp.append(len(base) - 1)
         off.append(cum - base[-1])
     eo = np.exp(off).tolist()
-    # per component: strict blocks C, tied blocks D and budgets B
+    # per component: strict items C, tied items D and budgets B
     C, D, B = [0.0] * len(base), [0.0] * len(base), [0.0] * len(base)
     for i in range(n):
         C[comp[i]] += eo[i] * W[i]
         B[comp[i]] += b[i]
     for i in range(n - 1):
         if q[i] % 2 and not (i and q[i - 1] == q[i]):
-            D[comp[i]] += eo[i] * v[i] * mk[i]
+            D[comp[i]] += eo[i] * v[i]
     try:
         scale = [t * B[c] / (C[c] + D[c]) for c in range(len(base))]
         beta = [eo[i] * scale[comp[i]] for i in range(n)]
@@ -788,7 +765,7 @@ def _best_effort(V, b, beta, cap):
     t = V.shape[1]
     bids = beta[:, None] * V
     top = bids.max(axis=0)
-    near = bids >= top[None, :] * (1.0 - 1e-9)
+    near = bids >= top[None, :] * (1.0 - TIE_LOG_TOL)
     X = near / near.sum(axis=0)[None, :] / t
     u = (V * X).sum(axis=1)
     delta = None if np.isinf(cap) else np.maximum(b - beta * u, 0.0)

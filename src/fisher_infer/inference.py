@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite import FiniteEquilibrium
-from .longrun import _require_below_cap, sigma_beta_u
+from .longrun import _require_below_cap, _require_unit_budgets, sigma_beta_u
 from .markets import FiniteMarket, _check_beta
 from .statkit import normal_quantile
 
@@ -209,13 +209,6 @@ class InferenceReport:
     tie_flagged: bool
     hessian_hat: np.ndarray | None = None
     rev_hat: float | None = None
-
-
-def _require_unit_budgets(budgets) -> None:
-    """Raise unless the budgets sum to 1, as estimate_sigma2_nsw assumes."""
-    if abs(budgets.sum() - 1.0) > 1e-9:
-        raise ValueError("the welfare variance estimate needs budgets that sum to 1 "
-                         "(see normalize_spec)")
 
 
 def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.05,

@@ -239,11 +239,14 @@ class LongRunEquilibrium:
     delta: np.ndarray | None = None
 
 
-def _check_normalized(spec, budgets=True):
-    means = spec.valuation.means()
-    if np.abs(means - 1.0).max() > 1e-9:
+def _check_normalized(spec):
+    if np.abs(spec.valuation.means() - 1.0).max() > 1e-9:
         raise ValueError("values must be normalized to unit mean (see normalize_spec)")
-    if budgets and abs(spec.budgets.sum() - 1.0) > 1e-9:
+
+
+def _require_unit_budgets(budgets) -> None:
+    """Raise unless budgets sum to 1, as solve_longrun_eg and estimate_sigma2_nsw assume."""
+    if abs(budgets.sum() - 1.0) > 1e-9:
         raise ValueError("budgets must sum to 1 (see normalize_spec)")
 
 
@@ -432,7 +435,7 @@ def _solve_longrun(spec: LongRunSpec, tol: float, cap: float) -> LongRunEquilibr
     are solved as one buyer (see _merge_identical_lines).
     """
     val = _require_linear1d(spec)
-    _check_normalized(spec, budgets=False)
+    _check_normalized(spec)
     _, first, group = np.unique(np.stack([val.c, val.d], axis=1), axis=0,
                                 return_index=True, return_inverse=True)
     if len(first) < spec.n:
@@ -496,7 +499,8 @@ def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10) -> LongRunEquilibriu
     that the solve finds.  RuntimeError if the gradient norm exceeds tol.
     """
     val = _require_linear1d(spec)
-    _check_normalized(spec, budgets=True)
+    _check_normalized(spec)
+    _require_unit_budgets(spec.budgets)
     if not np.all(np.diff(val.d) < 0):
         raise ValueError("value intercepts must be strictly decreasing")
     eq = _solve_longrun(spec, tol, np.inf)

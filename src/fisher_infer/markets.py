@@ -320,17 +320,25 @@ def spec_to_dict(spec: LongRunSpec) -> dict:
     }
 
 
+def _typed(key: str, value, *kinds: type):
+    """value, or ValueError naming key and kinds[0] if it is none of kinds."""
+    if not isinstance(value, kinds):
+        raise ValueError(f"{key!r} must be a {kinds[0].__name__}, not {type(value).__name__}")
+    return value
+
+
 def spec_from_dict(data: dict) -> LongRunSpec:
-    """The spec that data describes; a missing key raises ValueError naming it."""
+    """The spec that data describes; a missing key or a valuation or supply
+    that is not a dict raises ValueError naming it."""
     try:
-        vd = data["valuation"]
+        vd = _typed("valuation", data["valuation"], dict)
         if vd["kind"] == "linear1d":
             val: Valuation = Linear1DValuation(c=np.array(vd["c"]), d=np.array(vd["d"]))
         elif vd["kind"] == "linear_md":
             val = LinearMDValuation(a=np.array(vd["a"]), c=np.array(vd["c"]))
         else:
             raise ValueError(f"unknown valuation kind {vd['kind']!r}")
-        sd = data.get("supply", {"kind": "uniform01"})
+        sd = _typed("supply", data.get("supply", {"kind": "uniform01"}), dict)
         if sd["kind"] == "uniform01":
             sup: Supply = Uniform01Supply()
         elif sd["kind"] == "uniform_cube":

@@ -503,6 +503,20 @@ def test_cli_solve_spec_without_valuation_is_an_error(tmp_path, capsys):
     assert "'valuation'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("valuation", "linear1d"), ("supply", "uniform01")])
+def test_cli_solve_spec_entry_of_the_wrong_type_is_an_error(cli_files, capsys, key, value):
+    # a TypeError traceback ("string indices must be integers") would
+    # leave the user to guess the entry
+    _, spec_path, _ = cli_files
+    data = json.loads(spec_path.read_text())
+    data[key] = value
+    spec_path.write_text(json.dumps(data))
+    rc = cli_main(["solve", "--spec", str(spec_path), "--t", "100", "--seed", "7"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_cli_solve_quasilinear(cli_files, capsys):
     _, spec_path, _ = cli_files
     rc = cli_main(["solve", "--spec", str(spec_path), "--t", "80",
@@ -578,6 +592,21 @@ def test_missing_config_key_is_an_error(cli_files, capsys, key):
     tmp_path, _, cfg_path = cli_files
     data = json.loads(cfg_path.read_text())
     del data["spec_path" if key == "spec" else key]
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(data, base_dir=str(tmp_path))
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("key,value", [("t_grid", 50), ("spec", [0.5, 0.5])])
+def test_config_key_of_the_wrong_type_is_an_error(cli_files, capsys, key, value):
+    tmp_path, _, cfg_path = cli_files
+    # "t_grid": 50 ended the sweep in "'int' object is not iterable"
+    data = json.loads(cfg_path.read_text())
+    data.pop("spec_path" if key == "spec" else key)
+    data[key] = value
     with pytest.raises(ValueError, match=key):
         config_from_dict(data, base_dir=str(tmp_path))
     cfg_path.write_text(json.dumps(data))

@@ -663,8 +663,8 @@ def _near_tie(market, beta):
 @given(market=ordered_markets())
 # a run of pairs with equal q blocked the first off pair's move here
 @example(market=sample_items(random_linear1d_spec(50, 0), 2, seed=1))
-# both branches of each shortcut of _ordered_pattern on every run: equal
-# sort keys (stable re-sort, blocks of several items), and distinct keys
+# on every run: copied items (equal sort keys, left to the tail), and
+# distinct keys
 @example(market=_copy_items(sample_items(random_linear1d_spec(5, 7), 40, seed=3), 3))
 @example(market=sample_items(_crossing_lines(), 300, seed=4))
 @settings(max_examples=200, deadline=None)
@@ -676,9 +676,10 @@ def test_ordered_pattern_matches_dense_newton(market):
             assert eq.certificate.certified
         else:
             _assert_same_equilibrium(eq, dense)
-        # one buyer is left to the dense tail
+        # one buyer and copied items are left to the dense tail
         ordered = finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL)
-        assert (ordered is None) == (market.n == 1)
+        copied = np.unique(market.V, axis=1).shape[1] < market.t
+        assert (ordered is None) == (market.n == 1 or copied)
 
 
 @pytest.mark.parametrize("t,spec_seed,seed", [
@@ -730,7 +731,12 @@ def _linear_md():
     return sample_items(spec, 80, seed=2)
 
 
-@pytest.mark.parametrize("make", [_swapped_buyers, _zero_value, _linear_md])
+def _copied_items():
+    # 68 items drawn from 68 with repeats: equal sort keys
+    return _copy_items(sample_items(random_linear1d_spec(50, 73), 68, seed=73), 73)
+
+
+@pytest.mark.parametrize("make", [_swapped_buyers, _zero_value, _linear_md, _copied_items])
 def test_ordered_pattern_guard_falls_back_to_newton_tail(make, monkeypatch):
     market = make()
     V, b = market.V, market.budgets
@@ -751,16 +757,9 @@ def test_ordered_pattern_falls_back_when_the_search_fails(monkeypatch):
     _assert_same_equilibrium(eq, _dense_newton(market))
 
 
-def _copied_items():
-    # 68 items drawn from 68 with repeats: blocks shared by three buyers;
-    # moving every pair that is off at once cycles on this market
-    return _copy_items(sample_items(random_linear1d_spec(50, 73), 68, seed=73), 73)
-
-
 @pytest.mark.parametrize("make", [
     lambda: sample_items(random_linear1d_spec(50, 0), 250, seed=0),
     lambda: sample_items(random_linear1d_spec(50, 42), 5000, seed=1),
-    _copied_items,
 ])
 def test_ordered_pattern_needs_no_newton_tail(make, monkeypatch):
     market = make()
@@ -782,18 +781,17 @@ def test_ordered_pattern_ties_bids_within_tie_log_tol(monkeypatch):
 
 @st.composite
 def interval_patterns(draw):
-    """Inputs of _pattern_multipliers: a nondecreasing q on nb blocks, so
-    runs of equal odd q tie three or more buyers on one block."""
+    """Inputs of _pattern_multipliers: a nondecreasing q on a few items,
+    so runs of equal odd q tie three or more buyers on one item."""
     n = draw(st.sampled_from([2, 3, 5, 8, 50]))
-    nb = draw(st.integers(1, 6 if n < 50 else 60))
-    q = sorted(draw(st.lists(st.integers(1, 2 * nb - 1), min_size=n - 1, max_size=n - 1)))
+    items = draw(st.integers(1, 6 if n < 50 else 60))
+    q = sorted(draw(st.lists(st.integers(1, 2 * items - 1), min_size=n - 1, max_size=n - 1)))
     pos = st.floats(0.01, 50.0)
     W = draw(st.lists(pos, min_size=n, max_size=n))
     r = draw(st.lists(st.floats(-3.0, 3.0), min_size=n - 1, max_size=n - 1))
     v = draw(st.lists(pos, min_size=n - 1, max_size=n - 1))
-    mk = draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
     b = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
-    return q, W, r, v, mk, b, draw(st.integers(1, 5000))
+    return q, W, r, v, b, draw(st.integers(1, 5000))
 
 
 @given(args=interval_patterns())
