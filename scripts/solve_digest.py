@@ -97,6 +97,12 @@ def corpora():
     qlin = dataclasses.replace(sym, budgets=np.array([0.8, 0.6]))
     yield "qlin_b0.8-0.6", (solve_sample_qeg,), (
         sample_items(qlin, t, s) for t in (50, 200, 800) for s in range(4))
+    # quasilinear markets where no buyer reaches the cap
+    n5 = random_linear1d_spec(5, 42)
+    n5 = dataclasses.replace(n5, budgets=n5.budgets * 0.6)
+    yield "qlin_interior", (solve_sample_qeg,), itertools.chain(
+        (sample_items(n50, t, s) for t in (200, 250, 300) for s in range(5)),
+        (sample_items(n5, t, s) for t in (100, 1000) for s in range(5)))
     pr = tuple(functools.partial(solve, method="pr")
                for solve in (solve_sample_eg, solve_sample_qeg))
     # no PR polish certifies these within ESCALATE_AFTER iterations, so PR

@@ -23,7 +23,7 @@ import sys
 
 from .experiments import (load_config, run_clt_experiment, run_convergence_sweep,
                           run_coverage_experiment, run_qlin_revenue, summary_table)
-from .finite import save_equilibrium, solve_sample_eg, solve_sample_qeg
+from .finite import DEFAULT_TOL, save_equilibrium, solve_sample_eg, solve_sample_qeg
 from .inference import build_report, report_table
 from .markets import load_spec, sample_items
 
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the equilibrium JSON here")
     p.add_argument("--qlin", action="store_true", help="quasilinear buyers")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--method", default="newton", choices=("newton", "pr", "subgradient"))
     p.set_defaults(func=_cmd_solve)

@@ -31,12 +31,12 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .finite import solve_sample_eg, solve_sample_qeg
+from .finite import DEFAULT_TOL, solve_sample_eg, solve_sample_qeg
 from .inference import ci_nsw, estimate_sigma2_nsw
 from .longrun import (LongRunEquilibrium, _require_unit_budgets, sigma2_nsw, solve_longrun_eg,
                       solve_longrun_qeg)
-from .markets import (Linear1DValuation, LongRunSpec, _typed, load_spec, sample_items,
-                      spec_from_dict, spec_to_dict)
+from .markets import (Linear1DValuation, LongRunSpec, _coerced, _typed, load_spec,
+                      sample_items, spec_from_dict, spec_to_dict)
 from .statkit import KSResult, RateFit, fit_rate, ks_normal_test, qq_points, summarize_reps
 
 MODES = ("convergence", "clt", "coverage", "revenue_qlin")
@@ -50,18 +50,19 @@ class ExperimentConfig:
     k: int
     base_seed: int = 0
     alpha: float = 0.05
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     out_dir: str | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        grid = tuple(int(t) for t in self.t_grid)
+        grid = tuple(_coerced("t_grid", t, int) for t in self.t_grid)
         if len(grid) == 0 or any(a >= b for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nonempty and strictly ascending")
         object.__setattr__(self, "t_grid", grid)
         for name, kind in (("k", int), ("base_seed", int), ("alpha", float), ("tol", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+            object.__setattr__(self, name, _coerced(name, getattr(self, name), kind))
+        _typed("out_dir", self.out_dir, str, type(None))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.alpha < 1.0:

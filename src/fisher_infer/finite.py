@@ -5,11 +5,12 @@ Three routes to the dual minimizer are provided:
 * "newton" (the default): damped Newton on a softmax-smoothed dual with
   the smoothing temperature driven to zero.  Its softmax exponentiates
   only bids within 746 mu of their item's top bid: exp of anything
-  lower is exactly 0.0, so the cut changes no bit.  Linear markets whose
-  winners are intervals of sorted items (sampled 1-D linear markets)
-  skip the smoothed tail: the ordered-pattern solve finds their exact
-  tie pattern from sorted prefix sums, and the tail runs only where it
-  does not apply or does not certify.
+  lower is exactly 0.0, so the cut changes no bit.  Markets whose
+  winners are intervals of sorted items (sampled 1-D linear values, with
+  either kind of buyer) skip the smoothed tail: the ordered-pattern
+  solve finds their exact tie pattern from sorted prefix sums, and the
+  tail runs only where it does not apply or does not certify, as where
+  a quasilinear buyer reaches the cap.
 * "pr": proportional response dynamics on money bids.  Each buyer splits
   its budget over items in proportion to the utility each item currently
   delivers; prices are column sums of bids.  Robust and allocation-aware,
@@ -40,11 +41,11 @@ quasilinear buyers and inf for linear ones, so one code path serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .longrun import _breakpoint_newton, _solve_tridiagonal
+from .longrun import _at_cap, _breakpoint_newton, _projected_residual, _solve_tridiagonal
 from .markets import FiniteMarket, dual_subgradient_sample
 
 DEFAULT_TOL = 1e-9
@@ -334,7 +335,7 @@ def _pattern_solve(V, b, winmask, tol, cap):
     if np.any(beta_new[ws] * vs < top2[strict_items] * (1.0 - 1e-12)):
         return None
 
-    capped = beta_new >= cap - 1e-12
+    capped = _at_cap(beta_new, cap)
     X = np.zeros((n, t))
     X.ravel()[strict] = s
     targets = b / beta_new - wload
@@ -393,9 +394,9 @@ def _polish(V, b, beta, tol, cap):
 # ---------------------------------------------------------------------------
 
 
-def _ordered_pattern(V, b, tol):
-    """Exact equilibrium of a linear market whose winners are intervals of
-    sorted items, or None.
+def _ordered_pattern(V, b, tol, cap):
+    """Exact equilibrium of a market whose winners are intervals of sorted
+    items, or None; cap as in _pattern_solve.
 
     Items are sorted by log V[n-1] - log V[0]; two equal keys (copied
     items) give None.  If V is positive and every adjacent log ratio
@@ -407,7 +408,10 @@ def _ordered_pattern(V, b, tol):
     _interval_start reads q off a relaxed problem, _interval_search moves
     it to the exact pattern, and _pattern_solve, the same solve the polish
     uses, computes and certifies that pattern, then again with the bids
-    within TIE_LOG_TOL of their item's top tied, if there are more.
+    within TIE_LOG_TOL of their item's top tied, if there are more.  The
+    search ignores the cap, so under one it finds the linear market's
+    pattern and the certificate decides; it mostly fails where a buyer
+    reaches the cap.
     """
     n, t = V.shape
     if n < 2 or not np.all(V > 0):
@@ -432,7 +436,7 @@ def _ordered_pattern(V, b, tol):
     rank = np.empty(t, dtype=int)  # each item's sorted position
     rank[order] = np.arange(t)
     winmask = (rank >= (q[:-1] // 2)[:, None]) & (rank < ((q[1:] + 1) // 2)[:, None])
-    res = _pattern_solve(V, b, winmask, tol, np.inf)
+    res = _pattern_solve(V, b, winmask, tol, cap)
     if res is None:
         return None
     # a bid within TIE_LOG_TOL of its item's top passes the tie forest, so
@@ -441,7 +445,7 @@ def _ordered_pattern(V, b, tol):
     near = winmask | (res[0][:, None] * V >= res[5] * (1.0 - TIE_LOG_TOL))
     if np.array_equal(near, winmask):
         return res
-    return _pattern_solve(V, b, near, tol, np.inf) or res
+    return _pattern_solve(V, b, near, tol, cap) or res
 
 
 def _interval_start(Vs, R, P, b):
@@ -655,17 +659,14 @@ def _newton_tail(V, b, beta, tol, cap):
         for _ in range(80):
             val, g, H = _smoothed(V, b, beta, mu, probe)
             # freeze coordinates pressed against the cap
-            at_cap = beta >= cap - 1e-12
-            free = ~(at_cap & (g < 0))
+            free = ~(_at_cap(beta, cap) & (g < 0))
             d = np.zeros(n)
             if free.any():
                 try:
                     d[free] = np.linalg.solve(H[np.ix_(free, free)], -g[free])
                 except np.linalg.LinAlgError:
                     d[free] = -g[free]
-            # at the cap only an inward-pointing gradient is a violation
-            resid = np.where(at_cap, np.maximum(g, 0.0), np.abs(g))
-            if resid.max() < max(mu * 1e-3, 1e-13):
+            if _projected_residual(beta, g, cap).max() < max(mu * 1e-3, 1e-13):
                 break
             step = 1.0
             while step > 1e-14:
@@ -782,8 +783,7 @@ def _solve(market: FiniteMarket, tol: float, method: str, cap: float) -> FiniteE
     if method == "pr":
         res, iters, beta0 = _run_pr(V, b, tol, cap)
     elif method == "newton":
-        res = _ordered_pattern(V, b, tol) if np.isinf(cap) else None
-        iters, beta0 = 0, None
+        res, iters, beta0 = _ordered_pattern(V, b, tol, cap), 0, None
     elif method == "subgradient":
         res, iters, beta0 = None, SUBGRADIENT_ITERS, _subgradient_start(market, cap)
     else:
@@ -820,11 +820,11 @@ def solve_sample_eg(
     method : str
         "newton" (default), "pr" or "subgradient".  "newton" first tries
         the ordered-pattern solve, for V > 0 whose items sort so that
-        every buyer wins an interval of them (log-supermodular V, such
-        as sampled 1-D linear markets), and runs the smoothed Newton
-        tail from b / mean(V) when that does not certify.  "pr" runs the
-        tail from its iterate at ESCALATE_AFTER iterations when no
-        polish has certified by then (certificate.escalated), and
+        every buyer wins an interval of them (log-supermodular V, as in
+        sampled 1-D linear markets of either kind of buyer), and runs the
+        smoothed Newton tail from b / mean(V) where that does not certify.
+        "pr" runs the tail from its iterate at ESCALATE_AFTER iterations
+        when no polish has certified by then (certificate.escalated), and
         "subgradient" from the best point of its warmup.
 
     Returns
@@ -848,7 +848,9 @@ def solve_sample_qeg(
     Buyers may withhold money: multipliers live in (0, 1], leftover
     delta_i = b_i - beta_i u_i satisfies delta_i (1 - beta_i) = 0, and
     seller revenue is the mean price eq.rev.  Parameters and
-    non-certified returns are as in solve_sample_eg.
+    non-certified returns are as in solve_sample_eg, the tail starting
+    from min(b / mean(V), 1); the ordered-pattern solve mostly leaves
+    markets where a buyer reaches the cap to the tail.
     """
     return _solve(market, tol, method, cap=1.0)
 
@@ -919,13 +921,7 @@ def equilibrium_to_dict(eq: FiniteEquilibrium) -> dict:
         "p": eq.p.tolist(),
         "x": [list(triple) for triple in zip(items.tolist(), buyers.tolist(),
                                              eq.X[buyers, items].tolist())],
-        "certificate": {
-            "duality_gap": eq.certificate.duality_gap,
-            "certified": eq.certificate.certified,
-            "method": eq.certificate.method,
-            "iterations": eq.certificate.iterations,
-            "escalated": eq.certificate.escalated,
-        },
+        "certificate": asdict(eq.certificate),
     }
     if eq.delta is None:
         out["nsw"] = eq.nsw

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite import FiniteEquilibrium
-from .longrun import _require_below_cap, _require_unit_budgets, sigma_beta_u
+from .longrun import _at_cap, _require_below_cap, _require_unit_budgets, sigma_beta_u
 from .markets import FiniteMarket, _check_beta
 from .statkit import normal_quantile
 
@@ -242,7 +242,7 @@ def build_report(market: FiniteMarket, eq: FiniteEquilibrium, alpha: float = 0.0
     beta_ci, u_ci = ci_beta_u(eq.beta, omega2_hat, hessian_hat,
                               market.budgets, market.t, alpha,
                               u_hat=eq.u if qlin else None,
-                              capped=eq.beta >= 1.0 - 1e-12 if qlin else None)
+                              capped=_at_cap(eq.beta, 1.0) if qlin else None)
     if qlin:
         sigma2_hat = 0.0
         nsw_ci = (nsw_hat, nsw_hat)

@@ -27,7 +27,7 @@ three dual Newton steps polish off the rounding; the certificate is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,11 +239,6 @@ class LongRunEquilibrium:
     delta: np.ndarray | None = None
 
 
-def _check_normalized(spec):
-    if np.abs(spec.valuation.means() - 1.0).max() > 1e-9:
-        raise ValueError("values must be normalized to unit mean (see normalize_spec)")
-
-
 def _require_unit_budgets(budgets) -> None:
     """Raise unless budgets sum to 1, as solve_longrun_eg and estimate_sigma2_nsw assume."""
     if abs(budgets.sum() - 1.0) > 1e-9:
@@ -394,10 +389,15 @@ def _capped_partition(c, d, b, cap):
         block = L, R = new
 
 
+def _at_cap(beta, cap):
+    """Where beta sits at the cap, up to a slack of 1e-12."""
+    return beta >= cap - 1e-12
+
+
 def _projected_residual(beta, g, cap):
     """Residual of min H over (0, cap]^n: |g_i| below the cap and
     max(g_i, 0) at it."""
-    return np.where(beta >= cap - 1e-12, np.maximum(g, 0.0), np.abs(g))
+    return np.where(_at_cap(beta, cap), np.maximum(g, 0.0), np.abs(g))
 
 
 def _newton_polish(spec, beta, cap, tol):
@@ -429,65 +429,49 @@ def _solve_longrun(spec: LongRunSpec, tol: float, cap: float) -> LongRunEquilibr
     """The one long-run solve body: minimizes H over (0, cap]^n, where
     cap is inf for linear buyers and 1 for quasilinear ones.
 
-    Buyers go to _capped_partition in (slope, index) order.  The
-    certificate is the projected gradient norm.  Buyers at the cap keep
-    delta_i = b_i - beta_i u_i (None for linear buyers).  Identical lines
-    are solved as one buyer (see _merge_identical_lines).
+    Each set of identical lines is solved as one buyer that holds their
+    summed budget: the KKT condition of such a set is on that sum, which
+    the lowest-index subgradient of dual_grad_pop cannot show per buyer.
+    These merged buyers go to _capped_partition in (slope, index) order,
+    and the certificate is their projected gradient norm.  Each set wins
+    under its lowest index and splits u and delta (b_i - beta_i u_i at
+    the cap, None for linear buyers) by budget share; with distinct lines
+    every share is exactly 1.
     """
     val = _require_linear1d(spec)
-    _check_normalized(spec)
-    _, first, group = np.unique(np.stack([val.c, val.d], axis=1), axis=0,
-                                return_index=True, return_inverse=True)
-    if len(first) < spec.n:
-        return _merge_identical_lines(spec, tol, cap, first, group.ravel())
-    b = spec.budgets
-    order = np.argsort(val.c, kind="stable")
-    beta_sorted = _capped_partition(val.c[order], val.d[order], b[order], cap)
+    if np.abs(val.means() - 1.0).max() > 1e-9:
+        raise ValueError("values must be normalized to unit mean (see normalize_spec)")
+    _, first, line = np.unique(np.stack([val.c, val.d], axis=1), axis=0,
+                               return_index=True, return_inverse=True)
+    lead = np.sort(first)  # the lowest index of each line, in index order
+    k = np.searchsorted(lead, first[line.ravel()])  # buyer i has line k[i]
+    b, c, d = spec.budgets, val.c[lead], val.d[lead]
+    B = np.bincount(k, weights=b)
+    merged = LongRunSpec(budgets=B, valuation=Linear1DValuation(c=c, d=d), supply=spec.supply)
+    order = np.argsort(c, kind="stable")
+    beta_sorted = _capped_partition(c[order], d[order], B[order], cap)
     if beta_sorted is None:
         raise RuntimeError("no certificate: zero pivot in the breakpoint Newton")
-    beta = np.empty(spec.n)
+    beta = np.empty(len(lead))
     beta[order] = beta_sorted
-    beta, g = _newton_polish(spec, beta, cap, tol)
+    beta, g = _newton_polish(merged, beta, cap, tol)
     grad_norm = float(_projected_residual(beta, g, cap).max())
     if grad_norm > tol:
         what = "gradient norm" if np.isinf(cap) else "projected gradient"
         raise RuntimeError(f"no certificate: {what} {grad_norm:.3e} > {tol:.1e}")
 
-    env = _scaled_envelope(spec, beta)
-    u = _utilities_from_envelope(spec, env)
+    env = _scaled_envelope(merged, beta)
+    share = b / B[k]
+    u_line = _utilities_from_envelope(merged, env)
+    u = u_line[k] * share
     lo, hi = env.breakpoints[:-1], env.breakpoints[1:]
     rev = float(_int_lin(env.slopes, env.intercepts, lo, hi).sum())
-    delta = None if np.isinf(cap) else np.maximum(b - beta * u, 0.0)
+    delta = None if np.isinf(cap) else np.maximum(B - beta * u_line, 0.0)[k] * share
     nsw = float((b * np.log(u)).sum()) if np.all(u > 0) else float("nan")
     return LongRunEquilibrium(
-        spec=spec, beta_star=beta, breakpoints=env.breakpoints, winners=env.winners,
+        spec=spec, beta_star=beta[k], breakpoints=env.breakpoints, winners=lead[env.winners],
         price_slopes=env.slopes, price_intercepts=env.intercepts, u_star=u,
         nsw_star=nsw, rev=rev, grad_norm=grad_norm, delta=delta)
-
-
-def _merge_identical_lines(spec, tol, cap, first, group):
-    """_solve_longrun with each set of identical lines as one buyer that
-    holds their summed budget: the KKT condition of such a set is on that
-    sum, which the lowest-index subgradient of dual_grad_pop cannot show
-    per buyer.  first[k] is the lowest index of line k, and buyer i has
-    line group[i].  The set's u and delta are split by budget share, and
-    it wins its segments under its lowest index.  grad_norm is the merged
-    spec's: dual_grad_pop of spec gives the set's winnings to its first
-    buyer, so it reads nonzero there.
-    """
-    lead = np.sort(first)  # merged buyers in index order
-    g = np.searchsorted(lead, first[group])
-    b, val = spec.budgets, spec.valuation
-    merged = LongRunSpec(budgets=np.bincount(g, weights=b),
-                         valuation=Linear1DValuation(c=val.c[lead], d=val.d[lead]),
-                         supply=spec.supply)
-    eq = _solve_longrun(merged, tol, cap)
-    share = b / merged.budgets[g]
-    u = eq.u_star[g] * share
-    nsw = float((b * np.log(u)).sum()) if np.all(u > 0) else float("nan")
-    return replace(
-        eq, spec=spec, beta_star=eq.beta_star[g], winners=lead[eq.winners], u_star=u,
-        nsw_star=nsw, delta=None if eq.delta is None else eq.delta[g] * share)
 
 
 def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10) -> LongRunEquilibrium:
@@ -499,7 +483,6 @@ def solve_longrun_eg(spec: LongRunSpec, tol: float = 1e-10) -> LongRunEquilibriu
     that the solve finds.  RuntimeError if the gradient norm exceeds tol.
     """
     val = _require_linear1d(spec)
-    _check_normalized(spec)
     _require_unit_budgets(spec.budgets)
     if not np.all(np.diff(val.d) < 0):
         raise ValueError("value intercepts must be strictly decreasing")
@@ -607,7 +590,7 @@ def _require_below_cap(beta, delta) -> None:
     """
     if delta is None:
         return
-    at_cap = np.flatnonzero(np.asarray(beta) >= 1.0 - 1e-12)
+    at_cap = np.flatnonzero(_at_cap(np.asarray(beta), 1.0))
     if at_cap.size:
         raise ValueError(f"quasilinear buyers {at_cap.tolist()} are at the cap beta = 1, "
                          "where the sandwich covariance does not apply")

@@ -327,6 +327,14 @@ def _typed(key: str, value, *kinds: type):
     return value
 
 
+def _coerced(key: str, value, kind: type):
+    """kind(value), or ValueError naming key and kind if that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a number ({kind.__name__}), not {value!r}") from None
+
+
 def spec_from_dict(data: dict) -> LongRunSpec:
     """The spec that data describes; a missing key or a valuation or supply
     that is not a dict raises ValueError naming it."""
@@ -342,11 +350,11 @@ def spec_from_dict(data: dict) -> LongRunSpec:
         if sd["kind"] == "uniform01":
             sup: Supply = Uniform01Supply()
         elif sd["kind"] == "uniform_cube":
-            sup = UniformCubeSupply(dim=int(sd["dim"]))
+            sup = UniformCubeSupply(dim=_coerced("dim", sd["dim"], int))
         else:
             raise ValueError(f"unknown supply kind {sd['kind']!r}")
         spec = LongRunSpec(budgets=np.array(data["budgets"]), valuation=val, supply=sup)
-        if "n" in data and int(data["n"]) != spec.n:
+        if "n" in data and _coerced("n", data["n"], int) != spec.n:
             raise ValueError("declared n does not match budgets length")
         return spec
     except KeyError as exc:

@@ -503,13 +503,17 @@ def test_cli_solve_spec_without_valuation_is_an_error(tmp_path, capsys):
     assert "'valuation'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("valuation", "linear1d"), ("supply", "uniform01")])
+@pytest.mark.parametrize("key,value", [("valuation", "linear1d"), ("supply", "uniform01"),
+                                       ("n", [2]), ("dim", [2])])
 def test_cli_solve_spec_entry_of_the_wrong_type_is_an_error(cli_files, capsys, key, value):
     # a TypeError traceback ("string indices must be integers") would
     # leave the user to guess the entry
     _, spec_path, _ = cli_files
     data = json.loads(spec_path.read_text())
-    data[key] = value
+    if key == "dim":  # an entry of the supply
+        data["supply"] = {"kind": "uniform_cube", key: value}
+    else:
+        data[key] = value
     spec_path.write_text(json.dumps(data))
     rc = cli_main(["solve", "--spec", str(spec_path), "--t", "100", "--seed", "7"])
     assert rc == 1
@@ -600,12 +604,14 @@ def test_missing_config_key_is_an_error(cli_files, capsys, key):
     assert err.startswith("error:") and repr(key) in err
 
 
-@pytest.mark.parametrize("key,value", [("t_grid", 50), ("spec", [0.5, 0.5])])
+@pytest.mark.parametrize("key,value", [("t_grid", 50), ("spec", [0.5, 0.5]), ("k", [2]),
+                                       ("alpha", None), ("t_grid", [[50]]), ("out_dir", 5)])
 def test_config_key_of_the_wrong_type_is_an_error(cli_files, capsys, key, value):
     tmp_path, _, cfg_path = cli_files
-    # "t_grid": 50 ended the sweep in "'int' object is not iterable"
+    # "t_grid": 50 ended the sweep in "'int' object is not iterable", and
+    # "k": [2] in a TypeError traceback from int()
     data = json.loads(cfg_path.read_text())
-    data.pop("spec_path" if key == "spec" else key)
+    data.pop("spec_path" if key == "spec" else key, None)
     data[key] = value
     with pytest.raises(ValueError, match=key):
         config_from_dict(data, base_dir=str(tmp_path))

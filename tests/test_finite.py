@@ -621,10 +621,19 @@ def _crossing_lines():
                        supply=Uniform01Supply())
 
 
+def _capped_quasilinear():
+    # at budgets x1.5 ten buyers sit at the cap, and the linear market's
+    # pattern, which the ordered search finds, does not certify under it
+    m = sample_items(random_linear1d_spec(50, 0), 250, seed=0)
+    return FiniteMarket(V=m.V, budgets=m.budgets * 1.5)
+
+
 @st.composite
 def ordered_markets(draw):
-    """Sampled 1-D linear markets: n 1-8 or 50, t 1-300 with t <= n often,
-    the symmetric two-line market, and items copied (equal theta)."""
+    """(market, solve): sampled 1-D linear markets, n 1-8 or 50, t 1-300
+    with t <= n often, the symmetric two-line market, and items copied
+    (equal theta); solved as linear, or as quasilinear at budgets x0.5,
+    x1 or x1.5."""
     if draw(st.integers(0, 9)) == 0:
         spec = _crossing_lines()
     else:
@@ -633,19 +642,22 @@ def ordered_markets(draw):
     market = sample_items(spec, t, draw(seeds))
     if t > 1 and draw(st.booleans()):
         market = _copy_items(market, draw(seeds))
-    return market
+    if draw(st.booleans()):
+        return market, solve_sample_eg
+    scale = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    return FiniteMarket(V=market.V, budgets=market.budgets * scale), solve_sample_qeg
 
 
-def _dense_newton(market):
+def _dense_newton(market, solve=solve_sample_eg):
     """The Newton route with the ordered-pattern step switched off: the
     smoothed tail alone, uncertified where it is."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(finite, "_ordered_pattern", lambda V, b, tol: None)
-        return solve_sample_eg(market, method="newton")
+        m.setattr(finite, "_ordered_pattern", lambda V, b, tol, cap: None)
+        return solve(market, method="newton")
 
 
 def _assert_same_equilibrium(got, want):
-    for field in ("beta", "u", "p", "X", "nsw", "certificate"):
+    for field in ("beta", "u", "p", "X", "delta", "nsw", "certificate"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
@@ -660,26 +672,31 @@ def _near_tie(market, beta):
     return bool(((rel > 1e-12) & (rel < 1e-8)).any())
 
 
-@given(market=ordered_markets())
+@given(case=ordered_markets())
 # a run of pairs with equal q blocked the first off pair's move here
-@example(market=sample_items(random_linear1d_spec(50, 0), 2, seed=1))
+@example(case=(sample_items(random_linear1d_spec(50, 0), 2, seed=1), solve_sample_eg))
 # on every run: copied items (equal sort keys, left to the tail), and
-# distinct keys
-@example(market=_copy_items(sample_items(random_linear1d_spec(5, 7), 40, seed=3), 3))
-@example(market=sample_items(_crossing_lines(), 300, seed=4))
+# distinct keys, linear and quasilinear with and without a buyer at the cap
+@example(case=(_copy_items(sample_items(random_linear1d_spec(5, 7), 40, seed=3), 3),
+               solve_sample_eg))
+@example(case=(sample_items(_crossing_lines(), 300, seed=4), solve_sample_eg))
+@example(case=(sample_items(random_linear1d_spec(50, 0), 250, seed=0), solve_sample_qeg))
+@example(case=(_capped_quasilinear(), solve_sample_qeg))
 @settings(max_examples=200, deadline=None)
-def test_ordered_pattern_matches_dense_newton(market):
-    dense = _dense_newton(market)
+def test_ordered_pattern_matches_dense_newton(case):
+    market, solve = case
+    dense = _dense_newton(market, solve)
     if dense.certificate.certified:
-        eq = solve_sample_eg(market, method="newton")
+        eq = solve(market, method="newton")
         if _near_tie(market, dense.beta):
             assert eq.certificate.certified
         else:
             _assert_same_equilibrium(eq, dense)
-        # one buyer and copied items are left to the dense tail
-        ordered = finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL)
-        copied = np.unique(market.V, axis=1).shape[1] < market.t
-        assert (ordered is None) == (market.n == 1 or copied)
+        if solve is solve_sample_eg:
+            # one buyer and copied items are left to the dense tail
+            ordered = finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL, np.inf)
+            copied = np.unique(market.V, axis=1).shape[1] < market.t
+            assert (ordered is None) == (market.n == 1 or copied)
 
 
 @pytest.mark.parametrize("t,spec_seed,seed", [
@@ -689,7 +706,7 @@ def test_ordered_pattern_moves_the_far_end_of_an_equal_run(t, spec_seed, seed):
     # the n = 50 markets (spec seeds 0-19, sample seeds 0-9, t 2-8) on which
     # the search gave up when a run of pairs with equal q blocked a move
     market = sample_items(random_linear1d_spec(50, spec_seed), t, seed=seed)
-    assert finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL) is not None
+    assert finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL, np.inf) is not None
     dense = _dense_newton(market)
     assert dense.certificate.certified
     _assert_same_equilibrium(solve_sample_eg(market, method="newton"), dense)
@@ -736,16 +753,21 @@ def _copied_items():
     return _copy_items(sample_items(random_linear1d_spec(50, 73), 68, seed=73), 73)
 
 
-@pytest.mark.parametrize("make", [_swapped_buyers, _zero_value, _linear_md, _copied_items])
-def test_ordered_pattern_guard_falls_back_to_newton_tail(make, monkeypatch):
+@pytest.mark.parametrize("make,solve", [
+    pytest.param(make, solve, id=make.__name__) for make, solve in [
+        (_swapped_buyers, solve_sample_eg), (_zero_value, solve_sample_eg),
+        (_linear_md, solve_sample_eg), (_copied_items, solve_sample_eg),
+        (_capped_quasilinear, solve_sample_qeg)]])
+def test_ordered_pattern_guard_falls_back_to_newton_tail(make, solve, monkeypatch):
     market = make()
     V, b = market.V, market.budgets
-    assert finite._ordered_pattern(V, b, DEFAULT_TOL) is None
+    cap = np.inf if solve is solve_sample_eg else 1.0
+    assert finite._ordered_pattern(V, b, DEFAULT_TOL, cap) is None
     tails = _count_calls(monkeypatch, "_newton_tail")
-    eq = solve_sample_eg(market, method="newton")
-    assert len(tails) == 1 and np.array_equal(tails[0][2], b / V.mean(axis=1))
+    eq = solve(market, method="newton")
+    assert len(tails) == 1 and np.array_equal(tails[0][2], np.minimum(b / V.mean(axis=1), cap))
     assert eq.certificate.certified
-    _assert_same_equilibrium(eq, _dense_newton(market))
+    _assert_same_equilibrium(eq, _dense_newton(market, solve))
 
 
 def test_ordered_pattern_falls_back_when_the_search_fails(monkeypatch):
@@ -758,13 +780,16 @@ def test_ordered_pattern_falls_back_when_the_search_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: sample_items(random_linear1d_spec(50, 0), 250, seed=0),
-    lambda: sample_items(random_linear1d_spec(50, 42), 5000, seed=1),
+    lambda: (sample_items(random_linear1d_spec(50, 0), 250, seed=0), solve_sample_eg),
+    lambda: (sample_items(random_linear1d_spec(50, 42), 5000, seed=1), solve_sample_eg),
+    # quasilinear with no buyer at the cap
+    lambda: (sample_items(random_linear1d_spec(50, 0), 250, seed=0), solve_sample_qeg),
+    lambda: (sample_items(random_linear1d_spec(50, 0), 2000, seed=0), solve_sample_qeg),
 ])
 def test_ordered_pattern_needs_no_newton_tail(make, monkeypatch):
-    market = make()
+    market, solve = make()
     tails = _count_calls(monkeypatch, "_newton_tail")
-    eq = solve_sample_eg(market, method="newton")
+    eq = solve(market, method="newton")
     assert eq.certificate.certified and not tails
 
 

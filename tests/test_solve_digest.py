@@ -13,7 +13,7 @@ def test_digest_of_each_corpus_first_market():
         count, certified, hexdigest = solve_digest.digest(solves, itertools.islice(markets, 1))
         assert (count, certified, len(hexdigest)) == (len(solves), len(solves), 64), name
         names.append(name)
-    assert len(names) == len(set(names)) == 9
+    assert len(names) == len(set(names)) == 10
 
 
 def test_harness_digest_runs_every_mode(monkeypatch):
