@@ -215,45 +215,29 @@ def sample_items(spec: LongRunSpec, t: int, seed: int) -> FiniteMarket:
     return FiniteMarket(V=V, budgets=spec.budgets.copy())
 
 
-# A draw of n sorted slopes on (-1.8, 1.8) has every gap above 1e-3 with
-# probability (1 - (n - 1) 1e-3 / 3.6)^n; past this n it is below 1e-6.
-_RANDOM_SPEC_MAX_N = 220
-# Most slope draws random_linear1d_spec makes at once.
-_SLOPE_CHUNK = 1024
-
-
 def random_linear1d_spec(n: int, seed: int) -> LongRunSpec:
-    """Random normalized 1-D linear-valuation spec for experiments.
+    """Random normalized 1-D linear-valuation spec for experiments, n <= 3600.
 
-    Slopes are drawn uniform on (-1.8, 1.8) and sorted ascending with a
-    minimum separation, intercepts are then pinned by the unit-mean
-    constraint d_i = 1 - c_i/2, which keeps every value positive on
-    [0, 1] and the intercepts strictly decreasing.  Budgets are uniform
-    around 1/n and renormalized.  The slopes are redrawn until they are
-    separated, so n is capped at 220, where a draw still passes with
-    probability 1e-6.  The draws come in chunks of rows, one row first,
-    then twice as many each time; the stream is then replayed up to the
-    first separated row, so the spec is the one a row-by-row draw gives.
+    The slopes c are n uniforms on (-1.8, 1.8), sorted ascending and
+    conditioned on every gap exceeding 1e-3.  They are drawn in one step
+    by the uniform-spacings transform (Devroye, Non-Uniform Random
+    Variate Generation, 1986): sort n uniforms on (-1.8, 1.8 - (n-1) 1e-3)
+    and add k 1e-3 to the k-th.  The map between the two sets of sorted
+    points preserves volume, so the law is the conditioned one, and the
+    shorter interval must be nonempty: n <= 3600.  The intercepts are
+    then pinned by the unit-mean constraint d_i = 1 - c_i/2, which keeps
+    every value positive on [0, 1] and the intercepts strictly
+    decreasing.  Last come the budgets, uniform on (0.5, 1.5) and
+    renormalized.  Slopes and budgets come in that order from one
+    Philox stream keyed by seed ^ 0x5EED.
     """
     if n < 1:
         raise ValueError("need at least one buyer")
-    if n > _RANDOM_SPEC_MAX_N:
-        raise ValueError(f"random_linear1d_spec supports at most {_RANDOM_SPEC_MAX_N} "
-                         f"buyers (got {n}): slope draws would almost never be separated")
+    if n > 3600:
+        raise ValueError(f"random_linear1d_spec supports at most 3600 buyers (got {n}): "
+                         f"{n} slopes 1e-3 apart do not fit in (-1.8, 1.8)")
     gen = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED))
-    rows = 1
-    while True:
-        state = gen.bit_generator.state
-        C = np.sort(gen.uniform(-1.8, 1.8, size=(rows, n)), axis=1)
-        ok = np.flatnonzero(np.diff(C, axis=1).min(axis=1, initial=np.inf) > 1e-3)
-        if ok.size:
-            break
-        rows = min(2 * rows, _SLOPE_CHUNK)
-    c = C[ok[0]]
-    if ok[0] < rows - 1:
-        # leave the stream just past the separated row, for the budgets
-        gen.bit_generator.state = state
-        gen.uniform(size=(ok[0] + 1) * n)
+    c = np.sort(gen.uniform(-1.8, 1.8 - (n - 1) * 1e-3, size=n)) + 1e-3 * np.arange(n)
     d = 1.0 - c / 2.0
     b = gen.uniform(0.5, 1.5, size=n)
     b = b / b.sum()
@@ -328,10 +312,13 @@ def _typed(key: str, value, *kinds: type):
 
 
 def _coerced(key: str, value, kind: type):
-    """kind(value), or ValueError naming key and kind if that fails."""
+    """kind(value), or ValueError naming key and kind if that fails, if
+    value is a bool, or if kind is int and value is not a whole number."""
     try:
+        if isinstance(value, bool) or (kind is int and not float(value).is_integer()):
+            raise ValueError
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key!r} must be a number ({kind.__name__}), not {value!r}") from None
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from fisher_infer.finite import _gap
 from fisher_infer.inference import default_eta
-from fisher_infer.markets import FiniteMarket, dual_value_sample
+from fisher_infer.markets import FiniteMarket, Linear1DValuation, LongRunSpec, dual_value_sample
 
 
 def grid_minimize(fun, lo, hi, step=1e-4, pts=81):
@@ -142,8 +142,10 @@ def descent_longrun(spec, cap, beta0, tol=1e-10, max_iter=500):
 
 
 def random_linear1d_draw(n, seed):
-    """(c, b) of markets.random_linear1d_spec drawn row by row: redraw all n
-    slopes until their sorted gaps exceed 1e-3, then draw the budgets."""
+    """(c, b) drawn by rejection: redraw all n slopes uniform on (-1.8, 1.8)
+    until their sorted gaps exceed 1e-3, then draw the budgets.  Its
+    slopes have the law of markets.random_linear1d_spec's, which that
+    function draws in one step by the spacing transform."""
     gen = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED))
     while True:
         c = np.sort(gen.uniform(-1.8, 1.8, size=n))
@@ -151,6 +153,25 @@ def random_linear1d_draw(n, seed):
             break
     b = gen.uniform(0.5, 1.5, size=n)
     return c, b / b.sum()
+
+
+def spacing_linear1d_draw(n, seed):
+    """(c, b) of the spacing transform, drawn one uniform at a time: n
+    slopes uniform on (-1.8, 1.8 - (n-1) 1e-3), sorted, the k-th moved up
+    by k 1e-3, then n budgets, from the stream random_linear1d_spec reads."""
+    gen = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED))
+    u = sorted(gen.uniform(-1.8, 1.8 - (n - 1) * 1e-3) for _ in range(n))
+    c = np.array([x + 1e-3 * k for k, x in enumerate(u)])
+    b = np.array([gen.uniform(0.5, 1.5) for _ in range(n)])
+    return c, b / b.sum()
+
+
+def rejection_spec(n, seed):
+    """The LongRunSpec of random_linear1d_draw(n, seed), with d = 1 - c/2:
+    markets that tests chose by a scan of rejection-drawn specs keep
+    their bits on it."""
+    c, b = random_linear1d_draw(n, seed)
+    return LongRunSpec(budgets=b, valuation=Linear1DValuation(c=c, d=1.0 - c / 2.0))
 
 
 def pattern_multipliers(q, W, r, v, b, t):

@@ -97,6 +97,18 @@ def test_config_validation(symmetric_spec):
         _mini_config(symmetric_spec, mode="bogus")
 
 
+@pytest.mark.parametrize("key,value", [("t_grid", (30, 60.7)), ("k", 2.9), ("k", True),
+                                       ("base_seed", True), ("base_seed", 1.5)])
+def test_config_rejects_fractional_and_bool_counts(symmetric_spec, key, value):
+    # int() truncated these: t_grid [50.7] ran as (50,), k 2.9 as 2 and
+    # base_seed true as 1
+    with pytest.raises(ValueError, match=repr(key)):
+        _mini_config(symmetric_spec, **{key: value})
+    cfg = _mini_config(symmetric_spec, t_grid=(30.0, 60), k=4.0, base_seed=np.int64(7))
+    assert (cfg.t_grid, cfg.k, cfg.base_seed) == ((30, 60), 4, 7)
+    assert all(type(x) is int for x in (*cfg.t_grid, cfg.k, cfg.base_seed))
+
+
 def test_config_round_trip(symmetric_spec):
     data = json.loads("""{
         "spec": {"budgets": [0.5, 0.5],

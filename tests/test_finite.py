@@ -703,9 +703,10 @@ def test_ordered_pattern_matches_dense_newton(case):
     (2, 0, 1), (2, 0, 6), (2, 0, 7), (2, 0, 8), (2, 0, 9), (2, 3, 3), (2, 11, 3),
     (3, 8, 1), (3, 17, 1), (3, 17, 4), (3, 17, 9), (4, 12, 7), (5, 17, 1)])
 def test_ordered_pattern_moves_the_far_end_of_an_equal_run(t, spec_seed, seed):
-    # the n = 50 markets (spec seeds 0-19, sample seeds 0-9, t 2-8) on which
-    # the search gave up when a run of pairs with equal q blocked a move
-    market = sample_items(random_linear1d_spec(50, spec_seed), t, seed=seed)
+    # the n = 50 markets (rejection-drawn spec seeds 0-19, sample seeds
+    # 0-9, t 2-8) on which the search gave up when a run of pairs with
+    # equal q blocked a move
+    market = sample_items(oracles.rejection_spec(50, spec_seed), t, seed=seed)
     assert finite._ordered_pattern(market.V, market.budgets, DEFAULT_TOL, np.inf) is not None
     dense = _dense_newton(market)
     assert dense.certificate.certified
@@ -750,7 +751,7 @@ def _linear_md():
 
 def _copied_items():
     # 68 items drawn from 68 with repeats: equal sort keys
-    return _copy_items(sample_items(random_linear1d_spec(50, 73), 68, seed=73), 73)
+    return _copy_items(sample_items(oracles.rejection_spec(50, 73), 68, seed=73), 73)
 
 
 @pytest.mark.parametrize("make,solve", [
@@ -796,7 +797,7 @@ def test_ordered_pattern_needs_no_newton_tail(make, monkeypatch):
 def test_ordered_pattern_ties_bids_within_tie_log_tol(monkeypatch):
     # at the exact beta one more bid lies 2.5e-10 (relative) below its
     # item's top; the dense tail ties it, and so must the ordered path
-    market = sample_items(random_linear1d_spec(50, 0), 250, seed=10433)
+    market = sample_items(oracles.rejection_spec(50, 0), 250, seed=10433)
     dense = _dense_newton(market)
     solves = _count_calls(monkeypatch, "_pattern_solve")
     eq = solve_sample_eg(market, method="newton")

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 import fisher_infer
-from fisher_infer import markets
 from fisher_infer.markets import (
     FiniteMarket,
     Linear1DValuation,
@@ -268,33 +268,57 @@ def test_random_spec_reproducible():
 
 @pytest.mark.parametrize("n", [1, 2, 50, 120, 180, 200])
 def test_random_spec_chunked_draw_matches_row_by_row_draw(n):
-    # the chunked draw replays the stream up to the first separated row,
-    # so slopes and budgets are those of the row-by-row loop
+    # the spec draws its slopes and then its budgets as two chunks of n
+    # uniforms; they must be those of a loop drawing one at a time
     for seed in range(3):
         spec = random_linear1d_spec(n, seed)
-        c, b = oracles.random_linear1d_draw(n, seed)
+        c, b = oracles.spacing_linear1d_draw(n, seed)
         assert np.array_equal(spec.valuation.c, c)
         assert np.array_equal(spec.valuation.d, 1.0 - c / 2.0)
         assert np.array_equal(spec.budgets, b)
 
 
-def test_random_spec_rejects_an_n_it_cannot_draw(monkeypatch):
-    # past the cap one slope draw is separated with probability below 1e-6,
-    # so the redraw loop would not finish; the error comes before any draw
-    cap = markets._RANDOM_SPEC_MAX_N
+def test_random_spec_slopes_follow_the_rejection_law():
+    # the spacing transform must draw the law of the rejection draw:
+    # sorted uniforms on (-1.8, 1.8) with every gap above 1e-3.  Two-sample
+    # KS tests at n = 30 on 3,000 disjoint seeds a side, one per statistic
+    # of the slopes; each p must be >= 1e-3, fixed before the first run
+    n, k = 30, 3000
+    ours = np.array([random_linear1d_spec(n, s).valuation.c for s in range(k)])
+    rejected = np.array([oracles.random_linear1d_draw(n, s)[0] for s in range(k, 2 * k)])
 
-    def accept(n):
-        return (1.0 - (n - 1) * 1e-3 / 3.6) ** n
+    def statistics(C):
+        return {"min": C[:, 0], "median": np.median(C, axis=1),
+                "min gap": np.diff(C, axis=1).min(axis=1), "max": C[:, -1]}
 
-    assert accept(cap) >= 1e-6 > accept(cap + 1)
+    theirs = statistics(rejected)
+    for name, sample in statistics(ours).items():
+        p = ks_2samp(sample, theirs[name]).pvalue
+        assert p >= 1e-3, f"{name}: p = {p:.2g}"
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("slopes drawn for an unsupported n")
 
-    monkeypatch.setattr(markets.np.random, "Philox", no_draws)
-    for n in (cap + 1, 300):
-        with pytest.raises(ValueError, match=f"at most {cap} buyers"):
-            random_linear1d_spec(n, 0)
+@pytest.mark.parametrize("n,seed", [(1, 0), (1, 5), (2, 7), (5, 42), (50, 0), (50, 73)])
+def test_random_spec_keeps_the_budgets_of_a_first_row_rejection_draw(n, seed):
+    # where the rejection draw's first row of slopes passes, both draws
+    # read the same n uniforms before the budgets: the budgets keep their
+    # bits and each slope moves by k 1e-3 - (n - 1) 1e-3 u_(k); one buyer
+    # keeps every bit
+    c, b = oracles.random_linear1d_draw(n, seed)
+    spec = random_linear1d_spec(n, seed)
+    assert np.array_equal(spec.budgets, b)
+    assert np.abs(spec.valuation.c - c).max() < 0.006
+    if n == 1:
+        assert np.array_equal(spec.valuation.c, c)
+        assert np.array_equal(spec.valuation.d, 1.0 - c / 2.0)
+
+
+def test_random_spec_draws_up_to_3600_buyers():
+    # n slopes 1e-3 apart fit in (-1.8, 1.8) while (n - 1) 1e-3 < 3.6
+    val = random_linear1d_spec(3600, 0).valuation
+    assert np.diff(val.c).min() >= 1e-3 - 1e-12
+    assert np.all(np.diff(val.d) < 0)
+    with pytest.raises(ValueError, match="at most 3600 buyers"):
+        random_linear1d_spec(3601, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +363,18 @@ def test_spec_from_dict_names_a_missing_key(symmetric_spec, path):
     data = spec_to_dict(symmetric_spec)
     *outer, key = path
     del (data[outer[0]] if outer else data)[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("key,value", [("n", 2.5), ("n", True), ("dim", 1.5), ("dim", False)])
+def test_spec_from_dict_rejects_fractional_and_bool_counts(key, value):
+    # int() truncated these: n 2.5 passed as 2
+    data = {"n": 2, "budgets": [0.5, 0.5],
+            "valuation": {"kind": "linear_md", "a": [[1.0], [0.5]], "c": [0.5, 0.5]},
+            "supply": {"kind": "uniform_cube", "dim": 1}}
+    assert spec_from_dict(data).n == 2
+    (data["supply"] if key == "dim" else data)[key] = value
     with pytest.raises(ValueError, match=repr(key)):
         spec_from_dict(data)
 
